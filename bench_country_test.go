@@ -3,25 +3,21 @@ package mmlab
 // Country-scale hot-path benchmarks (ROADMAP: "Discrete-event core +
 // spatial cell indexing → country-scale worlds"). These size a world by
 // cell count rather than by paper-dataset fraction and drive UEs across
-// it, so the O(cells)→O(density) complexity win of the spatial index and
-// the event scheduler is measured directly. The -country.* flags scale
-// the scenario up to 10⁵ cells / 10⁴ UEs:
+// it, so the O(cells)→O(density) cost of the grid-indexed hot path is
+// measured directly. The -country.* flags scale the scenario up to 10⁵
+// cells / 10⁴ UEs:
 //
 //	go test -run '^$' -bench 'BenchmarkCountry' -benchmem \
 //	    -country.cells 100000 -country.ues 10000
 //
-// Three profiles:
-//
-//   - default: the PR hot path — spatial index, event-driven UEs, and the
-//     country audibility profile (1.5×ISD measurement radius: the serving
-//     tier plus the surrounding ring stay audible, ~24 cells).
-//   - -country.linear: same world configuration, legacy linear-scan +
-//     fixed-step path. Byte-identical results to the default; this is the
-//     matched-config algorithmic comparison.
-//   - -country.seedpath: the seed profile — legacy path at the seed's
-//     fixed 4×ISD audibility, the only configuration the seed could run
-//     (it had no world tuning). This is how the committed BENCH_seed.json
-//     baseline is produced; the default path produces BENCH_pr6.json.
+// The default audibility radius is the country profile, 1.5×ISD: the
+// serving tier plus the surrounding ring stay audible, ~24 cells.
+// -country.radius 2800 (4×ISD) is the seed's fixed audibility, the only
+// configuration the seed could run; TestCountryCampaignMatchesBenchGoldens
+// re-runs both radii against the committed BENCH_pr6.json and
+// BENCH_seed.json. BENCH_linear.json and BENCH_index.json record the
+// retired linear-scan + tick-loop path against the indexed one at the
+// same 1.5×ISD radius, on one host in one sitting.
 //
 // See `./verify.sh bench`.
 
@@ -42,34 +38,29 @@ var (
 	countryCells  = flag.Int("country.cells", 10000, "target cell count for the country-world benches")
 	countryUEs    = flag.Int("country.ues", 8, "drive runs per BenchmarkCountryCampaign iteration")
 	countryDurS   = flag.Int("country.dur", 30, "simulated seconds per drive run")
-	countryRadius = flag.Float64("country.radius", 0, "audibility radius in meters (0: profile default)")
-	countryLinear = flag.Bool("country.linear", false, "legacy linear-scan + fixed-step path at the same radius (matched-config baseline)")
-	countrySeed   = flag.Bool("country.seedpath", false, "full seed profile: legacy path at the seed's fixed 4×ISD radius")
+	countryRadius = flag.Float64("country.radius", 0, "audibility radius in meters (0: 1.5×ISD)")
 )
 
 // countryISD is the bench arena's inter-site distance in meters.
 const countryISD = 700.0
 
 // countryWorld builds a square arena sized so a 3-layer deployment lands
-// near -country.cells sites. The default audibility radius is 1.5×ISD —
+// near -country.cells sites. The default audibility radius is 1.5×ISD:
 // at country density a UE hears the surrounding ring of sites, not 50
-// towers — while the seed profile keeps the seed's untunable 4×ISD.
+// towers.
 func countryWorld(b *testing.B) *netsim.World {
 	b.Helper()
 	radius := *countryRadius
 	if radius == 0 {
 		radius = 1.5 * countryISD
-		if *countrySeed {
-			radius = 4 * countryISD
-		}
 	}
-	return countryWorldAt(b, radius, legacyPath())
+	return countryWorldAt(b, radius)
 }
 
-// countryWorldAt builds the arena at an explicit radius and scan path,
-// shared by the benches (flag-driven) and the BENCH-golden determinism
-// test (pinned configs).
-func countryWorldAt(tb testing.TB, radius float64, linear bool) *netsim.World {
+// countryWorldAt builds the arena at an explicit radius, shared by the
+// benches (flag-driven) and the BENCH-golden determinism test (pinned
+// configs).
+func countryWorldAt(tb testing.TB, radius float64) *netsim.World {
 	tb.Helper()
 	rowStep := countryISD * math.Sqrt(3) / 2
 	side := math.Sqrt(float64(*countryCells)/3*countryISD*rowStep) - 2*countryISD
@@ -83,13 +74,8 @@ func countryWorldAt(tb testing.TB, radius float64, linear bool) *netsim.World {
 		LTELayers:     3,
 		ISD:           countryISD,
 		MeasureRadius: radius,
-		LinearScan:    linear,
 	})
 }
-
-// legacyPath reports whether the benches should run the pre-PR hot path
-// (linear audibility scan + fixed-step tick loop).
-func legacyPath() bool { return *countryLinear || *countrySeed }
 
 // countryStart scatters UE j deterministically over the arena interior
 // (golden-ratio low-discrepancy sequence), away from edges so every run
@@ -106,15 +92,14 @@ func countryStart(region geo.Rect, j int) geo.Point {
 // runCountryCampaign executes one campaign iteration — ues highway
 // drives of durMs simulated milliseconds each — and returns the total
 // handoff count, the metric the BENCH_* goldens pin.
-func runCountryCampaign(w *netsim.World, durMs int64, ues int, tickLoop bool) int {
+func runCountryCampaign(w *netsim.World, durMs int64, ues int) int {
 	handoffs := 0
 	for j := 0; j < ues; j++ {
 		move := mobility.NewLinear(countryStart(w.Region, j), float64(j%8)*math.Pi/4, 100)
 		res := netsim.RunDrive(w, move, durMs, netsim.UEOpts{
-			Seed:     sim.DeriveSeed(benchSeed, j),
-			Active:   true,
-			App:      traffic.Speedtest{},
-			TickLoop: tickLoop,
+			Seed:   sim.DeriveSeed(benchSeed, j),
+			Active: true,
+			App:    traffic.Speedtest{},
 		})
 		handoffs += len(res.Handoffs)
 	}
@@ -130,7 +115,7 @@ func BenchmarkCountryCampaign(b *testing.B) {
 	b.ResetTimer()
 	handoffs := 0
 	for i := 0; i < b.N; i++ {
-		handoffs += runCountryCampaign(w, durMs, *countryUEs, legacyPath())
+		handoffs += runCountryCampaign(w, durMs, *countryUEs)
 	}
 	b.ReportMetric(float64(len(w.Cells)), "cells")
 	b.ReportMetric(float64(*countryUEs), "ues")

@@ -7,43 +7,42 @@ import (
 )
 
 // benchGoldenConfigs maps each committed BENCH_*.json campaign golden to
-// the world configuration that produced it: the typed probe path (the
-// event-driven scheduler over the spatial index at 1.5×ISD audibility)
-// and the seed profile (legacy linear scan + fixed-step tick loop at the
-// seed's 4×ISD). Both run the default campaign: 10000-cell arena,
-// carrier A, 8 UEs, 30 simulated seconds, benchSeed.
+// the audibility radius that produced it: 1.5×ISD for the country profile
+// and the seed's fixed 4×ISD. The seed golden was recorded on the seed's
+// linear-scan, fixed-step path; the single indexed path must reproduce
+// it. Both run the default campaign: 10000-cell arena, carrier A, 8 UEs,
+// 30 simulated seconds, benchSeed.
 var benchGoldenConfigs = []struct {
 	file    string
 	radius  float64
-	legacy  bool
 	profile string
 }{
-	{"BENCH_pr6.json", 1.5 * countryISD, false, "typed probe path"},
-	{"BENCH_seed.json", 4 * countryISD, true, "seed profile"},
+	{"BENCH_pr6.json", 1.5 * countryISD, "country profile"},
+	{"BENCH_seed.json", 4 * countryISD, "seed profile"},
 }
 
-// TestCountryCampaignMatchesBenchGoldens proves the units migration is
-// compile-time only on the probe path: re-running the BENCH campaign
+// TestCountryCampaignMatchesBenchGoldens proves the hot path's history
+// (the typed-units migration, the retired linear-scan and fixed-step
+// drivers) left runtime behavior alone: re-running the BENCH campaign
 // configuration must reproduce the committed goldens' cell and handoff
-// counts exactly. A drift of even one handoff means a unit type changed
-// runtime behavior (rounding, comparison, or arithmetic), which the
-// byte-identical-outputs contract forbids.
+// counts exactly. A drift of even one handoff breaks the
+// byte-identical-outputs contract.
 func TestCountryCampaignMatchesBenchGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("country-scale campaign; skipped with -short")
 	}
 	if *countryCells != 10000 || *countryUEs != 8 || *countryDurS != 30 ||
-		*countryRadius != 0 || *countryLinear || *countrySeed {
+		*countryRadius != 0 {
 		t.Skip("country flags overridden; the BENCH goldens pin the default config")
 	}
 	for _, tc := range benchGoldenConfigs {
 		t.Run(tc.file, func(t *testing.T) {
 			cells, handoffs := benchGoldenCampaign(t, tc.file)
-			w := countryWorldAt(t, tc.radius, tc.legacy)
+			w := countryWorldAt(t, tc.radius)
 			if got := len(w.Cells); got != cells {
 				t.Errorf("%s: world has %d cells, golden %s recorded %d", tc.profile, got, tc.file, cells)
 			}
-			if got := runCountryCampaign(w, int64(*countryDurS)*1000, *countryUEs, tc.legacy); got != handoffs {
+			if got := runCountryCampaign(w, int64(*countryDurS)*1000, *countryUEs); got != handoffs {
 				t.Errorf("%s: campaign produced %d handoffs, golden %s recorded %d", tc.profile, got, tc.file, handoffs)
 			}
 		})

@@ -15,9 +15,8 @@
 // the active drives; all-zero (the default) reproduces the historical
 // fault-free dataset exactly. The -world.* flags (see internal/netsim)
 // retune the drive-world geometry — -world.region-km grows the arena to
-// country scale, -world.isd/-world.radius adjust site density and
-// audibility, and -world.legacy selects the pre-index linear-scan +
-// fixed-step hot path (byte-identical output, for differential runs).
+// country scale and -world.isd/-world.radius adjust site density and
+// audibility.
 // Ctrl-C cancels the campaign and removes the partial output file.
 package main
 

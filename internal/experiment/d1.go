@@ -41,8 +41,7 @@ type D1Options struct {
 	// fault-free campaign.
 	Faults fault.Rates
 	// World tunes the drive-world geometry (site density, audibility
-	// radius, arena size) and the hot-path selection. The zero value keeps
-	// the standard arena and the indexed, event-driven path.
+	// radius, arena size). The zero value keeps the standard arena.
 	World netsim.WorldTuning
 }
 
@@ -145,7 +144,7 @@ func driveRun(gen *carrier.Generator, acr string, cities []string, run int, acti
 	w := netsim.BuildWorld(gen, tune.Region(driveRegion), wopts)
 	lane := float64((run%5)-2) * 120
 	route := netsim.RowRoute(w, speedFor(run), lane)
-	opts := netsim.UEOpts{Seed: seed*7 + int64(run), Active: active, TickLoop: tune.Legacy}
+	opts := netsim.UEOpts{Seed: seed*7 + int64(run), Active: active}
 	if active {
 		opts.App = appFor(run)
 		// The injector seed derives from the run index on its own stream so

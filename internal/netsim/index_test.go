@@ -1,33 +1,55 @@
 package netsim
 
 import (
-	"bytes"
 	"math/rand"
-	"reflect"
+	"sort"
 	"testing"
 
 	"mmlab/internal/carrier"
 	"mmlab/internal/config"
-	"mmlab/internal/fault"
 	"mmlab/internal/geo"
 	"mmlab/internal/radio"
-	"mmlab/internal/sib"
-	"mmlab/internal/traffic"
 )
 
-// twinWorlds builds the same world twice, once indexed and once with the
-// legacy linear scan, for differential testing.
-func twinWorlds(t *testing.T, opts WorldOpts) (indexed, linear *World) {
-	t.Helper()
-	lin := opts
-	lin.LinearScan = true
-	return testWorld(t, "A", opts), testWorld(t, "A", lin)
+// scanAudible is the test-local reference for audibility: a linear
+// geo.WithinRadius over every cell site, scored with RSRPAt and sorted by
+// (RSRP desc, CellID asc).
+func scanAudible(w *World, pos geo.Point) []AudibleCell {
+	sites := make([]geo.Point, len(w.Cells))
+	for i, c := range w.Cells {
+		sites[i] = c.Site.Pos
+	}
+	var out []AudibleCell
+	for _, i := range geo.WithinRadius(pos, sites, w.measureRadius) {
+		c := w.Cells[i]
+		out = append(out, AudibleCell{c, w.RSRPAt(c, pos)})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].RSRP != out[j].RSRP {
+			return out[i].RSRP > out[j].RSRP
+		}
+		return out[i].Cell.Site.Identity.CellID < out[j].Cell.Site.Identity.CellID
+	})
+	return out
 }
 
-// TestAudibleGridMatchesLinear is the differential property test for the
-// spatial index: across world shapes and randomized positions (inside the
-// region, at its edges, and beyond it), the indexed Audible must return
-// the identical cell sequence as the linear scan.
+// scanCoChannel is the brute-force reference for StrongestCoChannel: every
+// audible co-channel cell other than the serving one, strongest first,
+// lower CellID on RSRP ties.
+func scanCoChannel(w *World, pos geo.Point, serving *Cell) *Cell {
+	for _, a := range scanAudible(w, pos) {
+		id := a.Cell.Site.Identity
+		if a.Cell != serving && id.EARFCN == serving.Site.Identity.EARFCN && id.RAT == serving.Site.Identity.RAT {
+			return a.Cell
+		}
+	}
+	return nil
+}
+
+// TestAudibleGridMatchesLinear is the property test for the spatial
+// index: across world shapes and randomized positions (inside the region,
+// at its edges, and beyond it), the indexed AudibleScored must return the
+// identical cells and RSRPs, in the identical order, as a linear scan.
 func TestAudibleGridMatchesLinear(t *testing.T) {
 	shapes := []WorldOpts{
 		{LTELayers: 3},
@@ -36,37 +58,27 @@ func TestAudibleGridMatchesLinear(t *testing.T) {
 		{LTELayers: 3, Seed: 9, MeasureRadius: 5600},
 	}
 	for _, shape := range shapes {
-		wi, wl := twinWorlds(t, shape)
-		if len(wi.Cells) != len(wl.Cells) {
-			t.Fatalf("twin worlds differ: %d vs %d cells", len(wi.Cells), len(wl.Cells))
-		}
+		w := testWorld(t, "A", shape)
 		rng := rand.New(rand.NewSource(17))
-		probe := wi.NewProbe()
+		probe := w.NewProbe()
 		for q := 0; q < 150; q++ {
 			pos := geo.Pt(-2000+rng.Float64()*10000, -2000+rng.Float64()*8000)
 			got := probe.AudibleScored(pos)
-			want := wl.Audible(pos)
+			want := scanAudible(w, pos)
 			if len(got) != len(want) {
 				t.Fatalf("shape %+v pos %v: %d audible via index, %d via scan",
 					shape, pos, len(got), len(want))
 			}
 			for i := range want {
-				if got[i].Cell.Site.Identity != want[i].Site.Identity {
-					t.Fatalf("shape %+v pos %v: rank %d: index says %v, scan says %v",
-						shape, pos, i, got[i].Cell.Site.Identity, want[i].Site.Identity)
-				}
-				if got[i].RSRP != wl.RSRPAt(want[i], pos) {
-					t.Fatalf("shape %+v pos %v: rank %d: scored RSRP diverges", shape, pos, i)
+				if got[i] != want[i] {
+					t.Fatalf("shape %+v pos %v: rank %d: index says %v @ %v, scan says %v @ %v",
+						shape, pos, i, got[i].Cell.Site.Identity, got[i].RSRP,
+						want[i].Cell.Site.Identity, want[i].RSRP)
 				}
 			}
 			// The dominant-interferer query must agree too.
-			if s := wi.StrongestLTE(pos); s != nil {
-				a := wi.StrongestCoChannel(pos, s)
-				b := wl.StrongestCoChannel(pos, wl.byID[s.Site.Identity.CellID])
-				switch {
-				case a == nil && b == nil:
-				case a == nil || b == nil ||
-					a.Site.Identity != b.Site.Identity:
+			if s := w.StrongestLTE(pos); s != nil {
+				if a, b := w.StrongestCoChannel(pos, s), scanCoChannel(w, pos, s); a != b {
 					t.Fatalf("shape %+v pos %v: co-channel mismatch: index %v, scan %v",
 						shape, pos, a, b)
 				}
@@ -77,8 +89,7 @@ func TestAudibleGridMatchesLinear(t *testing.T) {
 
 // TestStrongestCoChannelTieBreak pins the CellID tie-break: with two
 // co-channel cells at exactly equal RSRP (same shadow field, symmetric
-// positions), the lower CellID must win regardless of slice order and of
-// whether the world is indexed.
+// positions), the lower CellID must win regardless of slice order.
 func TestStrongestCoChannelTieBreak(t *testing.T) {
 	sh := radio.NewShadowField(1, 0, 60) // sigma 0: shadowing exactly zero
 	cfg := &config.CellConfig{TxPowerDBm: 46}
@@ -103,26 +114,21 @@ func TestStrongestCoChannelTieBreak(t *testing.T) {
 		"ascending":  {serving, lo, hi},
 		"descending": {serving, hi, lo},
 	} {
+		sites := make([]geo.Point, len(cells))
+		for i, c := range cells {
+			sites[i] = c.Site.Pos
+		}
 		w := &World{
 			Cells:         cells,
 			byID:          map[uint32]*Cell{1: serving, 2: lo, 3: hi},
 			PathLoss:      radio.DefaultCOST231(),
 			Link:          radio.DefaultLinkModel(),
 			measureRadius: 5000,
+			index:         geo.NewGridIndex(sites, 2500),
 		}
-		check := func(mode string) {
-			got := w.StrongestCoChannel(pos, serving)
-			if got == nil || got.Site.Identity.CellID != 2 {
-				t.Fatalf("%s/%s: tie resolved to %v, want CellID 2", name, mode, got)
-			}
+		if got := w.StrongestCoChannel(pos, serving); got == nil || got.Site.Identity.CellID != 2 {
+			t.Fatalf("%s: tie resolved to %v, want CellID 2", name, got)
 		}
-		check("linear")
-		sites := make([]geo.Point, len(cells))
-		for i, c := range cells {
-			sites[i] = c.Site.Pos
-		}
-		w.index = geo.NewGridIndex(sites, w.measureRadius/2)
-		check("indexed")
 	}
 }
 
@@ -135,59 +141,5 @@ func carrierSite(id uint32, pos geo.Point) carrier.CellSite {
 		Identity: config.CellIdentity{
 			CellID: id, PCI: uint16(id), EARFCN: 700, RAT: config.RATLTE,
 		},
-	}
-}
-
-// TestSchedulerMatchesTickLoop pins the event scheduler to the fixed-step
-// loop: for every drive flavor — idle, active with traffic, fault-injected
-// with RLF recovery (exercising the quiet-span skip, with and without an
-// app) — the two drivers must produce byte-identical DriveResults and
-// identical diag captures.
-func TestSchedulerMatchesTickLoop(t *testing.T) {
-	scenarios := []struct {
-		name string
-		opts func() UEOpts
-	}{
-		{"idle", func() UEOpts { return UEOpts{Seed: 5} }},
-		{"active-speedtest", func() UEOpts {
-			return UEOpts{Seed: 5, Active: true, App: traffic.Speedtest{}}
-		}},
-		{"active-tcp-defaultfaults", func() UEOpts {
-			return UEOpts{Seed: 5, Active: true, App: traffic.NewTCPDownload(),
-				Injector: fault.New(7, fault.DefaultRates())}
-		}},
-		{"active-fade-rlf", func() UEOpts {
-			return UEOpts{Seed: 5, Active: true, App: traffic.Speedtest{},
-				Injector: fault.New(11, fault.Rates{Fade: 0.35})}
-		}},
-		{"active-fade-noapp", func() UEOpts {
-			return UEOpts{Seed: 5, Active: true,
-				Injector: fault.New(11, fault.Rates{Fade: 0.35})}
-		}},
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			w := testWorld(t, "A", WorldOpts{LTELayers: 3})
-			route := RowRoute(w, 45, 120)
-			run := func(tick bool) (*DriveResult, []byte) {
-				var diag bytes.Buffer
-				o := sc.opts()
-				o.TickLoop = tick
-				o.Diag = sib.NewDiagWriter(&diag)
-				res := RunDrive(w, route, route.Duration(), o)
-				return res, diag.Bytes()
-			}
-			evRes, evDiag := run(false)
-			tkRes, tkDiag := run(true)
-			if !reflect.DeepEqual(evRes, tkRes) {
-				t.Fatalf("scheduler and tick loop diverge:\nevents: %+v\nticks:  %+v", evRes, tkRes)
-			}
-			if !bytes.Equal(evDiag, tkDiag) {
-				t.Fatalf("diag captures differ: %d vs %d bytes", len(evDiag), len(tkDiag))
-			}
-			if sc.name == "active-fade-rlf" && evRes.Failures.Reestabs == 0 {
-				t.Fatal("fade scenario produced no re-establishments; quiet-span skip untested")
-			}
-		})
 	}
 }

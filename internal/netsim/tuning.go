@@ -6,11 +6,10 @@ import (
 	"mmlab/internal/geo"
 )
 
-// WorldTuning bundles the world-geometry and hot-path knobs exposed on the
-// CLIs and the country-scale benchmark: site density, audibility radius,
-// arena size, and the legacy-path switch. The zero value changes nothing,
-// so existing campaigns (and their byte-exact outputs) are untouched
-// unless a knob is set.
+// WorldTuning bundles the world-geometry knobs exposed on the CLIs and the
+// country-scale benchmark: site density, audibility radius, and arena
+// size. The zero value changes nothing, so existing campaigns (and their
+// byte-exact outputs) are untouched unless a knob is set.
 type WorldTuning struct {
 	// ISD overrides the inter-site distance in meters (0: keep default).
 	ISD float64
@@ -22,10 +21,6 @@ type WorldTuning struct {
 	// (0: the caller's standard arena). This is the country-scale lever:
 	// cell count grows with area while the indexed hot path stays flat.
 	RegionKm float64
-	// Legacy selects the pre-index hot path: linear audibility scans and
-	// the fixed-step UE loop. Results are byte-identical either way; the
-	// switch exists for differential runs and baseline benchmarks.
-	Legacy bool
 }
 
 // RegisterWorldFlags exposes the tuning knobs as -world.* flags on fs and
@@ -35,7 +30,6 @@ func RegisterWorldFlags(fs *flag.FlagSet) *WorldTuning {
 	fs.Float64Var(&t.ISD, "world.isd", 0, "inter-site distance in meters (0: default 700)")
 	fs.Float64Var(&t.MeasureRadius, "world.radius", 0, "UE audibility radius in meters (0: default 4×ISD)")
 	fs.Float64Var(&t.RegionKm, "world.region-km", 0, "square drive-arena side in km (0: standard arena)")
-	fs.BoolVar(&t.Legacy, "world.legacy", false, "use the legacy linear cell scan and fixed-step UE loop (byte-identical, slower)")
 	return &t
 }
 
@@ -46,9 +40,6 @@ func (t WorldTuning) Apply(opts *WorldOpts) {
 	}
 	if t.MeasureRadius > 0 {
 		opts.MeasureRadius = t.MeasureRadius
-	}
-	if t.Legacy {
-		opts.LinearScan = true
 	}
 }
 

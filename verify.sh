@@ -7,7 +7,7 @@
 #   ./verify.sh bench LABEL [bench flags...]
 #                          run the country-scale benches and write
 #                          BENCH_LABEL.json via cmd/bench2json, e.g.:
-#                            ./verify.sh bench seed -country.seedpath
+#                            ./verify.sh bench seed -country.radius 2800
 #                            ./verify.sh bench pr6
 #                          BENCHTIME (default 3x) sets -benchtime.
 set -e
