@@ -83,19 +83,21 @@ func TestWorldDeterministic(t *testing.T) {
 func TestAudibleSortedAndBounded(t *testing.T) {
 	w := testWorld(t, "A", WorldOpts{})
 	pos := geo.Pt(3000, 2000)
-	cells := w.Audible(pos)
+	cells := w.NewProbe().AudibleScored(pos)
 	if len(cells) == 0 {
 		t.Fatal("nothing audible at region center")
 	}
-	prev := w.RSRPAt(cells[0], pos)
+	prev := cells[0].RSRP
 	for _, c := range cells[1:] {
-		r := w.RSRPAt(c, pos)
-		if r > prev {
+		if c.RSRP != w.RSRPAt(c.Cell, pos) {
+			t.Fatal("scored RSRP differs from RSRPAt")
+		}
+		if c.RSRP > prev {
 			t.Fatal("audible list not sorted by RSRP")
 		}
-		prev = r
+		prev = c.RSRP
 	}
-	if s := w.StrongestLTE(pos); s != cells[0] {
+	if s := w.StrongestLTE(pos); s != cells[0].Cell {
 		t.Error("StrongestLTE should be the first audible LTE cell")
 	}
 }
