@@ -1,152 +1,63 @@
-// Command mmvet runs the repo's determinism- and concurrency-invariant
-// static analyzers (maprange, wallclock, globalrand, gorphan, units,
-// lockorder, chandir — see internal/lint) over the module.
+// Command mmvet runs the repo's determinism analyzers (maprange,
+// wallclock, globalrand, gorphan, units — see internal/lint) over the
+// module.
 //
 // Usage:
 //
 //	go run ./cmd/mmvet ./...            all packages of the enclosing module
 //	go run ./cmd/mmvet DIR [DIR...]     specific directories, self-contained
-//	go run ./cmd/mmvet -checks maprange,gorphan ./...
-//	go run ./cmd/mmvet -write-baseline ./...
-//	go run ./cmd/mmvet -check-annotations ./...
-//	go run ./cmd/mmvet -v ./...
 //
-// Exit status: 0 clean, 1 findings, 2 usage or load failure. Findings
-// already present in the baseline file (default .mmvet-baseline at the
-// module root) are suppressed and summarized; -write-baseline accepts
-// the current findings into the baseline instead of failing.
+// mmvet has no flags and no baseline: every finding, including a
+// malformed //mmvet: annotation, is printed and fails the run.
 //
-// -check-annotations runs no analyzers and only validates the
-// //mmvet: suppression comments themselves (unknown directives,
-// unknown check names, missing reasons); the baseline never applies,
-// so a reasonless annotation can never ship. -v prints per-analyzer
-// wall time to stderr.
+// Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"mmlab/internal/lint"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	var (
-		checks        = flag.String("checks", "", "comma-separated checks to run (default: all of "+strings.Join(lint.AllChecks, ",")+")")
-		baselinePath  = flag.String("baseline", "", "baseline file (default: <module root>/.mmvet-baseline)")
-		writeBaseline = flag.Bool("write-baseline", false, "accept current findings into the baseline file and exit 0")
-		annotOnly     = flag.Bool("check-annotations", false, "validate //mmvet: annotations only; no analyzers, no baseline")
-		verbose       = flag.Bool("v", false, "print per-analyzer wall time to stderr")
-	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: mmvet [flags] ./... | DIR [DIR...]")
+func run(args []string) int {
+	if len(args) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: mmvet ./... | DIR [DIR...]")
 		return 2
-	}
-
-	cfg := lint.Config{}
-	if *checks != "" {
-		for _, c := range strings.Split(*checks, ",") {
-			cfg.Checks = append(cfg.Checks, strings.TrimSpace(c))
-		}
-	}
-	if *annotOnly {
-		// "annotation" is not an analyzer name, so this disables every
-		// analyzer; Analyze still validates the //mmvet: comments.
-		cfg.Checks = []string{"annotation"}
 	}
 
 	var units []*lint.Unit
 	var root string
-	for _, arg := range flag.Args() {
-		switch {
-		case arg == "./..." || arg == "...":
-			r, err := moduleRoot(".")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mmvet:", err)
-				return 2
-			}
-			root = r
-			us, err := lint.LoadModule(r)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mmvet:", err)
-				return 2
-			}
-			units = append(units, us...)
-		default:
-			dir := strings.TrimSuffix(arg, "/...")
-			us, err := lint.LoadDir(dir, filepath.ToSlash(filepath.Clean(dir)))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mmvet:", err)
-				return 2
-			}
-			units = append(units, us...)
-		}
-	}
-
-	findings, timings := lint.AnalyzeTimed(units, cfg)
-	if *verbose {
-		for _, t := range timings {
-			fmt.Fprintf(os.Stderr, "mmvet: %-10s %s\n", t.Check, t.Elapsed.Round(10*time.Microsecond))
-		}
-	}
-
-	if *annotOnly {
-		// Annotation problems are never baselined away: a suppression
-		// without a reason fails CI outright.
-		for _, f := range findings {
-			fmt.Println(rel(root, f))
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "mmvet: %d annotation finding(s)\n", len(findings))
-			return 1
-		}
-		return 0
-	}
-
-	bp := *baselinePath
-	if bp == "" && root != "" {
-		bp = filepath.Join(root, ".mmvet-baseline")
-	}
-	if *writeBaseline {
-		if bp == "" {
-			fmt.Fprintln(os.Stderr, "mmvet: -write-baseline needs -baseline or a module root")
-			return 2
-		}
-		if err := lint.WriteBaseline(bp, findings, root); err != nil {
-			fmt.Fprintln(os.Stderr, "mmvet:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "mmvet: wrote %d finding(s) to %s\n", len(findings), bp)
-		return 0
-	}
-
-	var baseline lint.Baseline
-	if bp != "" {
+	for _, arg := range args {
+		var us []*lint.Unit
 		var err error
-		baseline, err = lint.LoadBaseline(bp)
+		if arg == "./..." || arg == "..." {
+			if root, err = moduleRoot("."); err == nil {
+				us, err = lint.LoadModule(root)
+			}
+		} else {
+			dir := strings.TrimSuffix(arg, "/...")
+			us, err = lint.LoadDir(dir, filepath.ToSlash(filepath.Clean(dir)))
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mmvet:", err)
 			return 2
 		}
+		units = append(units, us...)
 	}
-	fresh, baselined := baseline.Filter(findings, root)
-	for _, f := range fresh {
+
+	findings := lint.Analyze(units)
+	for _, f := range findings {
 		fmt.Println(rel(root, f))
 	}
-	if baselined > 0 {
-		fmt.Fprintf(os.Stderr, "mmvet: %d baselined finding(s) suppressed\n", baselined)
-	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "mmvet: %d finding(s)\n", len(fresh))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "mmvet: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
@@ -155,14 +66,12 @@ func run() int {
 // rel renders a finding with the path relative to root for stable,
 // readable output.
 func rel(root string, f lint.Finding) string {
-	s := f.String()
-	if root == "" {
-		return s
+	if root != "" {
+		if r, err := filepath.Rel(root, f.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
+			f.Pos.Filename = r
+		}
 	}
-	if r, err := filepath.Rel(root, f.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
-		return fmt.Sprintf("%s:%d:%d: %s: %s", r, f.Pos.Line, f.Pos.Column, f.Check, f.Message)
-	}
-	return s
+	return f.String()
 }
 
 // moduleRoot walks up from dir to the nearest go.mod.

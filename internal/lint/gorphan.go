@@ -5,6 +5,11 @@ import (
 	"go/types"
 )
 
+// supervisedPkgs are the packages whose goroutines must be lexically
+// supervised (drain/restart machinery): the streaming pipeline, the
+// worker pool, and the daemon supervisor.
+var supervisedPkgs = []string{"internal/pipeline", "internal/sim", "cmd/mmlabd"}
+
 // checkGorphan requires every go statement in the supervised packages
 // (the mmlabd pipeline) to be lexically paired with its supervision:
 // either a WaitGroup.Add call in one of the two statements immediately
@@ -13,7 +18,7 @@ import (
 // machinery joins on those WaitGroups; an unregistered goroutine is
 // invisible to it and leaks across drain, restart, and the soak test's
 // zero-leak assertion.
-func checkGorphan(u *Unit, supervisedPkgs []string) []Finding {
+func checkGorphan(u *Unit) []Finding {
 	if !pathMatches(u.ImportPath, supervisedPkgs) {
 		return nil
 	}

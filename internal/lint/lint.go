@@ -6,7 +6,8 @@
 // that have historically broken that invariant — unordered map
 // iteration feeding output, wall-clock reads in deterministic
 // packages, the process-global math/rand source, and unsupervised
-// goroutines in the pipeline.
+// goroutines in the pipeline — plus the dB/dBm unit discipline of the
+// handover parameters themselves.
 //
 // Checks:
 //
@@ -16,10 +17,10 @@
 //     order-sensitive. Iterate sorted keys instead, or annotate the
 //     loop with //mmvet:ordered <reason>.
 //   - wallclock: time.Now, time.Since, time.Until and timer
-//     constructors are banned in the deterministic packages (core,
-//     netsim, sim, fault, radio, mobility, experiment, crawler,
-//     analysis). Simulated time must flow from the event clock.
-//     Wall-clock stays legal in pipeline, cmd/*, and _test.go files.
+//     constructors are banned in every package under internal/ except
+//     internal/pipeline and its subpackages. Simulated time must flow
+//     from the event clock. Wall-clock stays legal in the pipeline,
+//     cmd/*, examples, the root package, and _test.go files.
 //   - globalrand: math/rand (and math/rand/v2) package-level draw
 //     functions are banned everywhere, tests included; randomness must
 //     flow from an injected seeded *rand.Rand.
@@ -34,25 +35,16 @@
 //     absolute dBm levels (use .Add/.SubDb/.Sub), and no bare numeric
 //     literals flowing into unit-typed parameters or struct fields
 //     outside construction sites (internal/config, tests).
-//   - lockorder: infers the mutex-acquisition partial order across the
-//     supervised packages from lexical Lock/Unlock pairing (including
-//     one level of intra-package calls) and flags order inversions —
-//     two locks acquired in both orders — and channel sends performed
-//     while a lock is held, both classic deadlock shapes under
-//     crash-chaos.
-//   - chandir: a bidirectional chan in an exported signature or struct
-//     field whose uses are all send-side or all receive-side should be
-//     directional (chan<- / <-chan), locking in the pipeline's channel
-//     ownership discipline at compile time.
 //
 // Suppressions are per-line comments with a mandatory reason:
 //
 //	//mmvet:allow <check> <reason>
 //	//mmvet:ordered <reason>          (shorthand for allow maprange)
-//	//mmvet:units <reason>            (shorthand for allow units)
 //
 // placed on the offending line or on the line directly above it. An
-// annotation without a reason is itself a finding.
+// annotation without a reason, naming an unknown check, or using an
+// unknown directive is itself a finding. There is no baseline: every
+// finding fails.
 package lint
 
 import (
@@ -61,7 +53,6 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one diagnostic.
@@ -75,140 +66,26 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Check, f.Message)
 }
 
-// Key is the position-independent identity used by the baseline file:
-// path (relative to root when possible), check, and message — no line
-// numbers, so unrelated edits do not invalidate baseline entries.
-func (f Finding) Key(root string) string {
-	name := f.Pos.Filename
-	if root != "" {
-		if rel, ok := strings.CutPrefix(name, strings.TrimSuffix(root, "/")+"/"); ok {
-			name = rel
-		}
-	}
-	return name + "\t" + f.Check + "\t" + f.Message
-}
+// allChecks lists every analyzer name.
+var allChecks = []string{"maprange", "wallclock", "globalrand", "gorphan", "units"}
 
-// Config selects and parameterizes the checks.
-type Config struct {
-	// Checks to run; nil means all.
-	Checks []string
-	// DeterministicPkgs are import-path suffixes where wallclock is
-	// banned; nil means DefaultDeterministicPkgs.
-	DeterministicPkgs []string
-	// SupervisedPkgs are import-path prefixes where gorphan applies;
-	// nil means DefaultSupervisedPkgs.
-	SupervisedPkgs []string
-}
-
-// DefaultDeterministicPkgs are the packages whose outputs feed the
-// byte-identical campaign artifacts.
-var DefaultDeterministicPkgs = []string{
-	"internal/core",
-	"internal/netsim",
-	"internal/sim",
-	"internal/fault",
-	"internal/radio",
-	"internal/mobility",
-	"internal/experiment",
-	"internal/crawler",
-	"internal/analysis",
-}
-
-// DefaultSupervisedPkgs are the packages whose goroutines must be
-// lexically supervised (drain/restart machinery) and whose mutexes are
-// subject to the lockorder partial-order check: the streaming pipeline,
-// the worker pool, and the daemon supervisor.
-var DefaultSupervisedPkgs = []string{"internal/pipeline", "internal/sim", "cmd/mmlabd"}
-
-// AllChecks lists every analyzer name.
-var AllChecks = []string{"maprange", "wallclock", "globalrand", "gorphan", "units", "lockorder", "chandir"}
-
-func (c Config) wantCheck(name string) bool {
-	if len(c.Checks) == 0 {
-		return true
-	}
-	for _, w := range c.Checks {
-		if w == name {
-			return true
-		}
-	}
-	return false
-}
-
-func (c Config) deterministicPkgs() []string {
-	if c.DeterministicPkgs != nil {
-		return c.DeterministicPkgs
-	}
-	return DefaultDeterministicPkgs
-}
-
-func (c Config) supervisedPkgs() []string {
-	if c.SupervisedPkgs != nil {
-		return c.SupervisedPkgs
-	}
-	return DefaultSupervisedPkgs
-}
-
-// CheckTiming is one analyzer's aggregate wall time across all units.
-type CheckTiming struct {
-	Check   string
-	Elapsed time.Duration
-}
-
-// Analyze runs the configured checks over the units and returns the
-// surviving findings sorted by position. Annotation suppressions are
-// applied here; baseline filtering is the caller's business.
-func Analyze(units []*Unit, cfg Config) []Finding {
-	findings, _ := AnalyzeTimed(units, cfg)
-	return findings
-}
-
-// AnalyzeTimed is Analyze plus per-analyzer wall time, in AllChecks
-// order, for mmvet -v.
-func AnalyzeTimed(units []*Unit, cfg Config) ([]Finding, []CheckTiming) {
-	elapsed := map[string]time.Duration{}
+// Analyze runs every check over the units and returns the findings
+// that survive annotation suppression, sorted by position. Malformed
+// annotations are reported as findings of check "annotation".
+func Analyze(units []*Unit) []Finding {
 	var out []Finding
-	keep := func(u *Unit, dirs *directiveSet, f Finding) {
-		if !u.Report(f.Pos.Filename) {
-			return
-		}
-		if dirs.suppresses(f.Pos.Filename, f.Pos.Line, f.Check) {
-			return
-		}
-		out = append(out, f)
-	}
-	// lockorder spans units: its per-unit facts feed one acquisition
-	// graph, and the cycle pass runs after every unit is collected.
-	var lockAll []*lockFacts
-	dirsByUnit := map[*Unit]*directiveSet{}
 	for _, u := range units {
 		dirs := directives(u)
-		dirsByUnit[u] = dirs
 		var raw []Finding
-		run := func(name string, fn func() []Finding) {
-			if !cfg.wantCheck(name) {
-				return
-			}
-			start := time.Now()
-			raw = append(raw, fn()...)
-			elapsed[name] += time.Since(start)
-		}
-		run("maprange", func() []Finding { return checkMapRange(u) })
-		run("wallclock", func() []Finding { return checkWallClock(u, cfg.deterministicPkgs()) })
-		run("globalrand", func() []Finding { return checkGlobalRand(u) })
-		run("gorphan", func() []Finding { return checkGorphan(u, cfg.supervisedPkgs()) })
-		run("units", func() []Finding { return checkUnits(u) })
-		run("chandir", func() []Finding { return checkChanDir(u) })
-		run("lockorder", func() []Finding {
-			lf := lockOrderFacts(u, cfg.supervisedPkgs())
-			if lf == nil {
-				return nil
-			}
-			lockAll = append(lockAll, lf)
-			return lf.findings
-		})
+		raw = append(raw, checkMapRange(u)...)
+		raw = append(raw, checkWallClock(u)...)
+		raw = append(raw, checkGlobalRand(u)...)
+		raw = append(raw, checkGorphan(u)...)
+		raw = append(raw, checkUnits(u)...)
 		for _, f := range raw {
-			keep(u, dirs, f)
+			if u.Report(f.Pos.Filename) && !dirs.suppresses(f.Pos.Filename, f.Pos.Line, f.Check) {
+				out = append(out, f)
+			}
 		}
 		// Malformed annotations are findings in their own right, so a
 		// reasonless //mmvet:allow can never silently ship.
@@ -217,15 +94,6 @@ func AnalyzeTimed(units []*Unit, cfg Config) ([]Finding, []CheckTiming) {
 				out = append(out, f)
 			}
 		}
-	}
-	if cfg.wantCheck("lockorder") {
-		// Cycle detection over the aggregated graph; each finding is
-		// filtered through the directives of the unit its edge came from.
-		start := time.Now()
-		for _, cf := range lockOrderCycles(lockAll) {
-			keep(cf.u, dirsByUnit[cf.u], cf.f)
-		}
-		elapsed["lockorder"] += time.Since(start)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -240,13 +108,7 @@ func AnalyzeTimed(units []*Unit, cfg Config) ([]Finding, []CheckTiming) {
 		}
 		return a.Check < b.Check
 	})
-	var timings []CheckTiming
-	for _, name := range AllChecks {
-		if d, ok := elapsed[name]; ok {
-			timings = append(timings, CheckTiming{Check: name, Elapsed: d})
-		}
-	}
-	return dedupe(out), timings
+	return dedupe(out)
 }
 
 func dedupe(fs []Finding) []Finding {
@@ -284,19 +146,17 @@ func directives(u *Unit) *directiveSet {
 				switch verb {
 				case "ordered":
 					check, reason = "maprange", rest
-				case "units":
-					check, reason = "units", rest
 				case "allow":
 					check, reason, _ = strings.Cut(rest, " ")
 					reason = strings.TrimSpace(reason)
 					if !knownCheck(check) {
 						ds.errors = append(ds.errors, Finding{Pos: pos, Check: "annotation",
-							Message: fmt.Sprintf("//mmvet:allow names unknown check %q (want one of %s)", check, strings.Join(AllChecks, ", "))})
+							Message: fmt.Sprintf("//mmvet:allow names unknown check %q (want one of %s)", check, strings.Join(allChecks, ", "))})
 						continue
 					}
 				default:
 					ds.errors = append(ds.errors, Finding{Pos: pos, Check: "annotation",
-						Message: fmt.Sprintf("unknown directive //mmvet:%s (want allow, ordered, or units)", verb)})
+						Message: fmt.Sprintf("unknown directive //mmvet:%s (want allow or ordered)", verb)})
 					continue
 				}
 				if reason == "" {
@@ -332,7 +192,7 @@ func (ds *directiveSet) suppresses(file string, line int, check string) bool {
 }
 
 func knownCheck(name string) bool {
-	for _, c := range AllChecks {
+	for _, c := range allChecks {
 		if c == name {
 			return true
 		}
@@ -340,19 +200,13 @@ func knownCheck(name string) bool {
 	return false
 }
 
-// pathMatches reports whether importPath ends with (or equals) one of
-// the suffix patterns, on path-segment boundaries.
-func pathMatches(importPath string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if importPath == s || strings.HasSuffix(importPath, "/"+s) {
-			return true
-		}
-		// Prefix-style match for subpackages: pattern "internal/pipeline"
-		// also covers ".../internal/pipeline/feeder".
-		if i := strings.Index(importPath, "/"+s+"/"); i >= 0 {
-			return true
-		}
-		if strings.HasPrefix(importPath, s+"/") {
+// pathMatches reports whether one of the patterns occurs in importPath
+// on path-segment boundaries: pattern "internal/pipeline" matches
+// "mmlab/internal/pipeline" and "mmlab/internal/pipeline/feeder".
+func pathMatches(importPath string, patterns []string) bool {
+	p := "/" + importPath + "/"
+	for _, s := range patterns {
+		if strings.Contains(p, "/"+s+"/") {
 			return true
 		}
 	}

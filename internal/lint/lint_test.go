@@ -12,22 +12,22 @@ import (
 var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
 
 // runGolden loads one testdata package under importPath, analyzes it,
-// and checks the findings against the file's `// want` comments: every
-// want line must produce a matching finding and every finding must be
-// wanted.
-func runGolden(t *testing.T, name, importPath string, cfg Config) {
+// and checks the findings of check against the file's `// want`
+// comments: every want line must produce a matching finding and every
+// finding must be wanted.
+func runGolden(t *testing.T, name, importPath, check string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
 	units, err := LoadDir(dir, importPath)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}
-	goldenCheck(t, units, cfg)
+	goldenCheck(t, units, check)
 }
 
-// goldenCheck matches Analyze's findings against `// want` comments in
-// already-loaded units.
-func goldenCheck(t *testing.T, units []*Unit, cfg Config) {
+// goldenCheck matches Analyze's findings of check against `// want`
+// comments in already-loaded units.
+func goldenCheck(t *testing.T, units []*Unit, check string) {
 	t.Helper()
 	type key struct {
 		file string
@@ -53,7 +53,10 @@ func goldenCheck(t *testing.T, units []*Unit, cfg Config) {
 	}
 
 	matched := map[key]bool{}
-	for _, f := range Analyze(units, cfg) {
+	for _, f := range Analyze(units) {
+		if f.Check != check {
+			continue
+		}
 		k := key{f.Pos.Filename, f.Pos.Line}
 		want, ok := wants[k]
 		if !ok {
@@ -73,12 +76,22 @@ func goldenCheck(t *testing.T, units []*Unit, cfg Config) {
 }
 
 func TestMapRangeGolden(t *testing.T) {
-	runGolden(t, "maprange", "mmlab/testdata/maprange", Config{Checks: []string{"maprange"}})
+	runGolden(t, "maprange", "mmlab/testdata/maprange", "maprange")
 }
 
 func TestWallClockGolden(t *testing.T) {
-	// Loaded under a deterministic package path so the check applies.
-	runGolden(t, "wallclock", "mmlab/internal/core", Config{Checks: []string{"wallclock"}})
+	// Loaded under deterministic package paths so the check applies:
+	// every package under internal/ outside the pipeline tree, including
+	// the D2 fleet builders (carrier) and the diag capture codec (sib).
+	for _, importPath := range []string{
+		"mmlab/internal/core",
+		"mmlab/internal/carrier",
+		"mmlab/internal/sib",
+	} {
+		t.Run(importPath, func(t *testing.T) {
+			runGolden(t, "wallclock", importPath, "wallclock")
+		})
+	}
 }
 
 func TestWallClockOffPathIsSilent(t *testing.T) {
@@ -87,18 +100,21 @@ func TestWallClockOffPathIsSilent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range Analyze(units, Config{Checks: []string{"wallclock"}}) {
+	for _, f := range Analyze(units) {
+		if f.Check != "wallclock" {
+			continue
+		}
 		t.Errorf("wallclock fired outside deterministic packages: %s", f)
 	}
 }
 
 func TestGlobalRandGolden(t *testing.T) {
-	runGolden(t, "globalrand", "mmlab/testdata/globalrand", Config{Checks: []string{"globalrand"}})
+	runGolden(t, "globalrand", "mmlab/testdata/globalrand", "globalrand")
 }
 
 func TestGorphanGolden(t *testing.T) {
 	// Loaded under the supervised pipeline path so the check applies.
-	runGolden(t, "gorphan", "mmlab/internal/pipeline", Config{Checks: []string{"gorphan"}})
+	runGolden(t, "gorphan", "mmlab/internal/pipeline", "gorphan")
 }
 
 func TestUnitsGolden(t *testing.T) {
@@ -112,104 +128,11 @@ func TestUnitsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDirs: %v", err)
 	}
-	goldenCheck(t, units, Config{Checks: []string{"units"}})
-}
-
-func TestLockOrderGolden(t *testing.T) {
-	// Loaded under the supervised pipeline path so the check applies.
-	runGolden(t, "lockorder", "mmlab/internal/pipeline", Config{Checks: []string{"lockorder"}})
-}
-
-func TestChanDirGolden(t *testing.T) {
-	runGolden(t, "chandir", "mmlab/internal/pipeline", Config{Checks: []string{"chandir"}})
-}
-
-// TestLockOrderCrossUnit seeds the two legs of a lock-order cycle in
-// two different packages — the daemon locking pipeline-owned mutexes in
-// the opposite order from the pipeline itself. Neither package alone
-// has a cycle; only the aggregated graph does.
-func TestLockOrderCrossUnit(t *testing.T) {
-	pipe := writeTempPkg(t, `package pipeline
-
-import "sync"
-
-type Shard struct {
-	Mu sync.Mutex
-	N  int
-}
-
-type Agg struct {
-	Mu    sync.Mutex
-	Total int
-}
-
-func Flush(s *Shard, a *Agg) {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	a.Mu.Lock()
-	a.Total += s.N
-	a.Mu.Unlock()
-}
-`)
-	daemon := writeTempPkg(t, `package main
-
-import "mmlab/internal/pipeline"
-
-func report(s *pipeline.Shard, a *pipeline.Agg) int {
-	a.Mu.Lock()
-	defer a.Mu.Unlock()
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	return a.Total + s.N
-}
-`)
-	units, err := LoadDirs("mmlab", []DirSpec{
-		{Dir: pipe, ImportPath: "mmlab/internal/pipeline"},
-		{Dir: daemon, ImportPath: "mmlab/cmd/mmlabd"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := Analyze(units, Config{Checks: []string{"lockorder"}})
-	if len(findings) != 2 {
-		t.Fatalf("cross-unit inversion: got %d findings, want one per leg: %v", len(findings), findings)
-	}
-	for _, f := range findings {
-		if !strings.Contains(f.Message, "lock order inversion") {
-			t.Errorf("unexpected finding: %s", f)
-		}
-	}
-
-	// The aggregated graph must hold exactly the two opposing edges.
-	var facts []*lockFacts
-	for _, u := range units {
-		if lf := lockOrderFacts(u, DefaultSupervisedPkgs); lf != nil {
-			facts = append(facts, lf)
-		}
-	}
-	wantEdges := "(pipeline.Agg).Mu -> (pipeline.Shard).Mu\n(pipeline.Shard).Mu -> (pipeline.Agg).Mu"
-	if got := lockOrderSummary(facts); got != wantEdges {
-		t.Errorf("inferred edges:\n%s\nwant:\n%s", got, wantEdges)
-	}
-
-	// Either package alone must be silent: the order is only wrong in
-	// combination.
-	for _, spec := range []DirSpec{
-		{Dir: pipe, ImportPath: "mmlab/internal/pipeline"},
-	} {
-		solo, err := LoadDirs("mmlab", []DirSpec{spec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range Analyze(solo, Config{Checks: []string{"lockorder"}}) {
-			t.Errorf("single-package analysis should be clean, got %s", f)
-		}
-	}
+	goldenCheck(t, units, "units")
 }
 
 // TestRepoClean is the acceptance gate: mmvet over the real module must
-// report zero findings beyond the committed baseline — and the
-// committed baseline must be empty.
+// report zero findings.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -222,16 +145,7 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
-	findings := Analyze(units, Config{})
-	baseline, err := LoadBaseline(filepath.Join(root, ".mmvet-baseline"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(baseline) != 0 {
-		t.Errorf("committed baseline must be empty, has %d entries", len(baseline))
-	}
-	fresh, _ := baseline.Filter(findings, root)
-	for _, f := range fresh {
+	for _, f := range Analyze(units) {
 		t.Errorf("finding: %s", f)
 	}
 }
@@ -255,7 +169,7 @@ func findChecks(t *testing.T, dir, importPath string) map[string]int {
 		t.Fatal(err)
 	}
 	got := map[string]int{}
-	for _, f := range Analyze(units, Config{}) {
+	for _, f := range Analyze(units) {
 		got[f.Check]++
 	}
 	return got
@@ -289,44 +203,13 @@ func leak(m map[string]int, sink chan string) int64 {
 
 	pipe := writeTempPkg(t, `package pipe
 
-import "sync"
-
-type a struct{ mu sync.Mutex }
-
-type b struct{ mu sync.Mutex }
-
 func spawn(f func()) {
 	go f()
 }
-
-func fwd(x *a, y *b, out chan int) {
-	x.mu.Lock()
-	y.mu.Lock()
-	out <- 1
-	y.mu.Unlock()
-	x.mu.Unlock()
-}
-
-func rev(x *a, y *b) {
-	y.mu.Lock()
-	x.mu.Lock()
-	x.mu.Unlock()
-	y.mu.Unlock()
-}
-
-func Drain(in chan int) int {
-	t := 0
-	for v := range in {
-		t += v
-	}
-	return t
-}
 `)
 	got = findChecks(t, pipe, "mmlab/internal/pipeline")
-	for _, check := range []string{"gorphan", "lockorder", "chandir"} {
-		if got[check] == 0 {
-			t.Errorf("seeded %s violation not caught (got %v)", check, got)
-		}
+	if got["gorphan"] == 0 {
+		t.Errorf("seeded gorphan violation not caught (got %v)", got)
 	}
 
 	// The seeded dB/dBm swap: a conversion between two unit axes.
@@ -346,7 +229,7 @@ func swap(rsrp units.Dbm) units.Db {
 		t.Fatal(err)
 	}
 	unitsHit := 0
-	for _, f := range Analyze(us, Config{}) {
+	for _, f := range Analyze(us) {
 		if f.Check == "units" {
 			unitsHit++
 		}
@@ -374,7 +257,9 @@ func bad(m map[string]int) []string {
 func unknown(m map[string]int) []string {
 	var out []string
 	//mmvet:allow nosuchcheck because reasons
+	//mmvet:allow lockorder not a check mmvet runs
 	//mmvet:frobnicate whatever
+	//mmvet:units not a directive; write allow units
 	for k := range m {
 		out = append(out, k)
 	}
@@ -392,7 +277,7 @@ func wrongCheck(m map[string]int, sink chan string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Analyze(units, Config{})
+	findings := Analyze(units)
 	var annot, maprange int
 	for _, f := range findings {
 		switch f.Check {
@@ -403,59 +288,13 @@ func wrongCheck(m map[string]int, sink chan string) {
 		}
 	}
 	// bad: reasonless ordered -> 1 annotation error, loop still flagged.
-	// unknown: unknown check + unknown verb -> 2 annotation errors, loop flagged.
+	// unknown: two unknown checks + two unknown verbs -> 4 annotation
+	// errors, loop flagged.
 	// wrongCheck: valid annotation for the wrong check -> loop still flagged.
-	if annot != 3 {
-		t.Errorf("annotation findings = %d, want 3: %v", annot, findings)
+	if annot != 5 {
+		t.Errorf("annotation findings = %d, want 5: %v", annot, findings)
 	}
 	if maprange != 3 {
 		t.Errorf("maprange findings = %d, want 3 (suppression must not leak across checks): %v", maprange, findings)
-	}
-}
-
-// TestBaselineRoundTrip: accepted findings stop failing, new ones still do.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := writeTempPkg(t, `package bl
-
-func keys(m map[string]int, sink chan string) {
-	for k := range m {
-		sink <- k
-	}
-}
-`)
-	units, err := LoadDir(dir, "mmlab/testdata/bl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := Analyze(units, Config{})
-	if len(findings) != 1 {
-		t.Fatalf("findings = %v, want exactly 1", findings)
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline")
-	if err := WriteBaseline(path, findings, dir); err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, baselined := baseline.Filter(findings, dir)
-	if len(fresh) != 0 || baselined != 1 {
-		t.Errorf("Filter = (%v, %d), want (none, 1)", fresh, baselined)
-	}
-
-	// A different finding is not covered by the baseline.
-	other := findings[0]
-	other.Message = "something new"
-	fresh, _ = baseline.Filter([]Finding{other}, dir)
-	if len(fresh) != 1 {
-		t.Errorf("new finding suppressed by unrelated baseline entry")
-	}
-
-	// Missing baseline file reads as empty.
-	empty, err := LoadBaseline(filepath.Join(t.TempDir(), "nope"))
-	if err != nil || len(empty) != 0 {
-		t.Errorf("missing baseline: (%v, %v), want empty, nil", empty, err)
 	}
 }

@@ -24,7 +24,6 @@ type Unit struct {
 	// the base path (checks that match on package path treat the test
 	// package as part of its package under test).
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Pkg        *types.Package
@@ -46,7 +45,6 @@ func (u *Unit) Report(filename string) bool {
 // parsedDir is one directory's parsed files, split the way go/build
 // splits them.
 type parsedDir struct {
-	dir        string
 	importPath string
 	base       []*ast.File // package foo, not _test.go
 	inTest     []*ast.File // package foo, _test.go
@@ -170,7 +168,7 @@ func parseDir(fset *token.FileSet, dir, importPath string) (*parsedDir, error) {
 	if err != nil {
 		return nil, err
 	}
-	pd := &parsedDir{dir: dir, importPath: importPath}
+	pd := &parsedDir{importPath: importPath}
 	var names []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasPrefix(e.Name(), ".") || strings.HasPrefix(e.Name(), "_") {
@@ -318,7 +316,6 @@ func typeCheck(fset *token.FileSet, modPath string, dirs []*parsedDir) ([]*Unit,
 			return nil, err
 		}
 		if u != nil {
-			u.Dir = pd.dir
 			baseUnits[pd.importPath] = u
 			units = append(units, u)
 		}
@@ -331,7 +328,6 @@ func typeCheck(fset *token.FileSet, modPath string, dirs []*parsedDir) ([]*Unit,
 			if err != nil {
 				return nil, err
 			}
-			u.Dir = pd.dir
 			u.reportFile = func(name string) bool { return strings.HasSuffix(name, "_test.go") }
 			units = append(units, u)
 		}
@@ -340,7 +336,6 @@ func typeCheck(fset *token.FileSet, modPath string, dirs []*parsedDir) ([]*Unit,
 			if err != nil {
 				return nil, err
 			}
-			u.Dir = pd.dir
 			u.ImportPath = pd.importPath // path-scoped checks see the package under test
 			units = append(units, u)
 		}

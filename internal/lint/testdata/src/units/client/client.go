@@ -76,6 +76,6 @@ func badLiteralField() eventConfig {
 // states its element unit at the site and is always fine.
 func okAnnotated(rsrp units.Dbm) units.Db {
 	offs := []units.Db{5, 12}
-	//mmvet:units RSRQ rides the level axis in this quantizer shim
+	//mmvet:allow units RSRQ rides the level axis in this quantizer shim
 	return units.Db(rsrp) + offs[0]
 }

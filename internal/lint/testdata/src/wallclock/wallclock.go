@@ -1,6 +1,6 @@
 // Package wallclock is mmvet analyzer testdata; the golden test loads
-// it under a deterministic import path (mmlab/internal/core), where
-// every wall-clock read must be flagged.
+// it under deterministic import paths (internal/core, internal/carrier,
+// internal/sib), where every wall-clock read must be flagged.
 package wallclock
 
 import "time"

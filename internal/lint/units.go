@@ -112,14 +112,14 @@ func unitsConversion(u *Unit, call *ast.CallExpr, target types.Type) *Finding {
 		return &Finding{
 			Pos:   u.Fset.Position(call.Pos()),
 			Check: "units",
-			Message: fmt.Sprintf("conversion %s(…) launders %s into a bare number; unwrap with .V() at the I/O boundary or annotate //mmvet:units <reason>",
+			Message: fmt.Sprintf("conversion %s(…) launders %s into a bare number; unwrap with .V() at the I/O boundary or annotate //mmvet:allow units <reason>",
 				types.TypeString(target, types.RelativeTo(u.Pkg)), unitName(src)),
 		}
 	case dst != src:
 		return &Finding{
 			Pos:   u.Fset.Position(call.Pos()),
 			Check: "units",
-			Message: fmt.Sprintf("conversion from %s to %s crosses unit axes (dB/dBm mix-up?); use an explicit helper from internal/units or annotate //mmvet:units <reason>",
+			Message: fmt.Sprintf("conversion from %s to %s crosses unit axes (dB/dBm mix-up?); use an explicit helper from internal/units or annotate //mmvet:allow units <reason>",
 				unitName(src), unitName(dst)),
 		}
 	}
@@ -160,17 +160,17 @@ func unitsLevelArithmetic(u *Unit, b *ast.BinaryExpr) *Finding {
 	case token.ADD:
 		if xLevel && yLevel {
 			return &Finding{Pos: pos, Check: "units",
-				Message: "sum of two absolute dBm levels is not a level; shift by a relative offset with .Add(units.Db) or annotate //mmvet:units <reason>"}
+				Message: "sum of two absolute dBm levels is not a level; shift by a relative offset with .Add(units.Db) or annotate //mmvet:allow units <reason>"}
 		}
 	case token.SUB:
 		if xLevel && yLevel {
 			return &Finding{Pos: pos, Check: "units",
-				Message: "difference of two absolute dBm levels is a relative dB, not a level; use .Sub (returns units.Db) or .SubDb, or annotate //mmvet:units <reason>"}
+				Message: "difference of two absolute dBm levels is a relative dB, not a level; use .Sub (returns units.Db) or .SubDb, or annotate //mmvet:allow units <reason>"}
 		}
 	case token.MUL, token.QUO:
 		if xLevel || yLevel {
 			return &Finding{Pos: pos, Check: "units",
-				Message: "scaling an absolute dBm level is dimensionally meaningless (dBm is logarithmic); unwrap with .V() if the raw number is intended, or annotate //mmvet:units <reason>"}
+				Message: "scaling an absolute dBm level is dimensionally meaningless (dBm is logarithmic); unwrap with .V() if the raw number is intended, or annotate //mmvet:allow units <reason>"}
 		}
 	}
 	return nil
@@ -244,7 +244,7 @@ func unitsLiteralArgs(u *Unit, call *ast.CallExpr) []Finding {
 			out = append(out, Finding{
 				Pos:   u.Fset.Position(arg.Pos()),
 				Check: "units",
-				Message: fmt.Sprintf("bare numeric literal for %s parameter; write %s(…) so the unit is visible at the call site, or annotate //mmvet:units <reason>",
+				Message: fmt.Sprintf("bare numeric literal for %s parameter; write %s(…) so the unit is visible at the call site, or annotate //mmvet:allow units <reason>",
 					unitName(n), unitName(n)),
 			})
 		}
@@ -274,7 +274,7 @@ func unitsLiteralFields(u *Unit, cl *ast.CompositeLit) []Finding {
 			out = append(out, Finding{
 				Pos:   u.Fset.Position(val.Pos()),
 				Check: "units",
-				Message: fmt.Sprintf("bare numeric literal for %s field %s; write %s(…) so the unit is visible at the construction site, or annotate //mmvet:units <reason>",
+				Message: fmt.Sprintf("bare numeric literal for %s field %s; write %s(…) so the unit is visible at the construction site, or annotate //mmvet:allow units <reason>",
 					unitName(n), f.Name(), unitName(n)),
 			})
 		}

@@ -15,12 +15,15 @@ var wallClockFuncs = map[string]bool{
 	"NewTimer": true, "NewTicker": true,
 }
 
-// checkWallClock bans wall-clock reads in the deterministic packages.
-// _test.go files are exempt: tests may time out or poll, they just may
-// not feed wall-clock into asserted output (which the differential
-// determinism tests would catch).
-func checkWallClock(u *Unit, detPkgs []string) []Finding {
-	if !pathMatches(u.ImportPath, detPkgs) {
+// checkWallClock bans wall-clock reads in the deterministic packages:
+// every package under internal/ except the pipeline tree, whose
+// timings, deadlines and checkpoint cadence are wall-clock by nature.
+// cmd/*, examples and the root package are exempt, and so are _test.go
+// files: tests may time out or poll, they just may not feed wall-clock
+// into asserted output (which the differential determinism tests would
+// catch).
+func checkWallClock(u *Unit) []Finding {
+	if !pathMatches(u.ImportPath, []string{"internal"}) || pathMatches(u.ImportPath, []string{"internal/pipeline"}) {
 		return nil
 	}
 	var out []Finding
@@ -43,7 +46,7 @@ func checkWallClock(u *Unit, detPkgs []string) []Finding {
 			out = append(out, Finding{
 				Pos:   u.Fset.Position(sel.Pos()),
 				Check: "wallclock",
-				Message: fmt.Sprintf("time.%s reads the wall clock; %s is a deterministic package — take time from the simulation clock or move this to pipeline/cmd",
+				Message: fmt.Sprintf("time.%s reads the wall clock; %s is a deterministic package — take time from the simulation clock or move this to internal/pipeline or cmd",
 					obj.Name(), u.ImportPath),
 			})
 			return true
