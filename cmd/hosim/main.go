@@ -9,8 +9,10 @@
 //
 // Scale 1.0 reproduces the paper's dataset size (14,510 active + 4,263
 // idle handoffs) and takes several minutes; use -scale 0.05 for a quick
-// run. Drive runs execute on -workers parallel workers (default: all
-// CPUs); the dataset is byte-identical for every worker count. The
+// run. The eight carrier×state campaigns share one pool of -workers
+// parallel drive workers (default: all CPUs), and a drive whose campaign
+// has already met its quota is skipped; the dataset is byte-identical
+// for every worker count. The
 // -fault.* flags (see internal/fault) inject signaling-plane faults into
 // the active drives; all-zero (the default) reproduces the historical
 // fault-free dataset exactly. The -world.* flags (see internal/netsim)

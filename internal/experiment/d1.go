@@ -9,6 +9,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"mmlab/internal/carrier"
 	"mmlab/internal/config"
@@ -165,59 +166,29 @@ func driveRun(gen *carrier.Generator, acr string, cities []string, run int, acti
 // maxCampaignRuns bounds a quota campaign that never fills.
 const maxCampaignRuns = 4000
 
-// campaign runs drives for one carrier until quota handoffs accumulate,
-// fanning the runs over the sim worker pool and merging results in run
-// order; progress (optional) observes the running record count.
-func campaign(ctx context.Context, acr string, cities []string, quota int, active bool, seed int64, workers int, faults fault.Rates, tune netsim.WorldTuning, progress func(n int)) ([]dataset.D1Record, error) {
-	gen, err := carrier.NewGenerator(acr)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]dataset.D1Record, 0, quota)
-	err = sim.Collect(ctx, sim.Options{Workers: workers},
-		func(run int) (func(context.Context) ([]dataset.D1Record, error), bool) {
-			if run >= maxCampaignRuns {
-				return nil, false
-			}
-			return func(context.Context) ([]dataset.D1Record, error) {
-				return driveRun(gen, acr, cities, run, active, seed, faults, tune), nil
-			}, true
-		},
-		func(_ int, recs []dataset.D1Record) error {
-			out = append(out, recs...)
-			if len(out) >= quota {
-				out = out[:quota]
-				if progress != nil {
-					progress(len(out))
-				}
-				return sim.ErrStop
-			}
-			if progress != nil {
-				progress(len(out))
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+// d1Campaign is one carrier×state quota campaign of BuildD1.
+type d1Campaign struct {
+	gen    *carrier.Generator
+	acr    string
+	quota  int
+	active bool
+	seed   int64
+	recs   []dataset.D1Record
+	// done is set only by the consumer, once recs reaches quota or the
+	// last run is delivered. A job that finds it set skips its drive.
+	done atomic.Bool
 }
 
-// BuildD1 runs the full Type-II campaign and returns the dataset. The
-// drive runs execute on the sim runtime; the dataset is identical for
-// every opts.Workers value.
-func BuildD1(ctx context.Context, opts D1Options) (*dataset.D1, error) {
-	opts.fill()
-
-	type camp struct {
-		acr    string
-		quota  int
-		active bool
-		seed   int64
-	}
-	var camps []camp
+// d1Campaigns lays out the eight carrier×state campaigns in dataset
+// order and returns them with the sum of their quotas.
+func d1Campaigns(opts D1Options) ([]*d1Campaign, int, error) {
+	var camps []*d1Campaign
 	total := 0
 	for _, acr := range []string{"A", "T", "V", "S"} {
+		gen, err := carrier.NewGenerator(acr)
+		if err != nil {
+			return nil, 0, fmt.Errorf("experiment: active campaign %s: %w", acr, err)
+		}
 		quotaA := int(float64(PaperActiveHandoffs) * opts.Scale * activeShare[acr])
 		if quotaA < 10 {
 			quotaA = 10
@@ -227,28 +198,81 @@ func BuildD1(ctx context.Context, opts D1Options) (*dataset.D1, error) {
 			quotaI = 10
 		}
 		camps = append(camps,
-			camp{acr, quotaA, true, opts.Seed + int64(len(acr))},
-			camp{acr, quotaI, false, opts.Seed + 1000 + int64(len(acr))})
+			&d1Campaign{gen: gen, acr: acr, quota: quotaA, active: true, seed: opts.Seed + int64(len(acr))},
+			&d1Campaign{gen: gen, acr: acr, quota: quotaI, active: false, seed: opts.Seed + 1000 + int64(len(acr))})
 		total += quotaA + quotaI
 	}
+	return camps, total, nil
+}
 
-	d := &dataset.D1{}
-	done := 0
-	for _, c := range camps {
-		var progress func(int)
-		if opts.Progress != nil {
-			progress = func(n int) { opts.Progress(done+n, total) }
-		}
-		kind := "idle"
+// BuildD1 runs the full Type-II campaign and returns the dataset. The
+// eight carrier×state campaigns share one sim pool: job j is run j/8 of
+// campaign j%8, so every campaign sees its runs in run order and keeps
+// exactly the drives a campaign-by-campaign loop would. The dataset is
+// identical for every opts.Workers value.
+func BuildD1(ctx context.Context, opts D1Options) (*dataset.D1, error) {
+	opts.fill()
+	camps, total, err := d1Campaigns(opts)
+	if err != nil {
+		return nil, err
+	}
+
+	n := len(camps)
+	// Campaigns before first are done; Progress reports their records
+	// plus those of camps[first], so the running count crosses each
+	// cumulative quota once, in campaign order. Collect fails on the
+	// first undelivered job, next, which names the failing campaign.
+	first, prefix, next := 0, 0, 0
+	err = sim.Collect(ctx, sim.Options{Workers: opts.Workers},
+		func(j int) (func(context.Context) ([]dataset.D1Record, error), bool) {
+			c, run := camps[j%n], j/n
+			if run >= maxCampaignRuns {
+				return nil, false
+			}
+			return func(context.Context) ([]dataset.D1Record, error) {
+				if c.done.Load() {
+					return nil, nil // moot: consume discards rows of a done campaign
+				}
+				return driveRun(c.gen, c.acr, opts.Cities, run, c.active, c.seed, opts.Faults, opts.World), nil
+			}, true
+		},
+		func(j int, recs []dataset.D1Record) error {
+			next = j + 1
+			c := camps[j%n]
+			if c.done.Load() {
+				return nil
+			}
+			c.recs = append(c.recs, recs...)
+			if len(c.recs) >= c.quota || j/n == maxCampaignRuns-1 {
+				c.recs = c.recs[:min(len(c.recs), c.quota)]
+				c.done.Store(true)
+			}
+			for first < n && camps[first].done.Load() {
+				prefix += len(camps[first].recs)
+				first++
+			}
+			if opts.Progress != nil {
+				cur := prefix
+				if first < n {
+					cur += len(camps[first].recs)
+				}
+				opts.Progress(cur, total)
+			}
+			if first == n {
+				return sim.ErrStop
+			}
+			return nil
+		})
+	if err != nil {
+		c, kind := camps[next%n], "idle"
 		if c.active {
 			kind = "active"
 		}
-		recs, err := campaign(ctx, c.acr, opts.Cities, c.quota, c.active, c.seed, opts.Workers, opts.Faults, opts.World, progress)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s campaign %s: %w", kind, c.acr, err)
-		}
-		d.Records = append(d.Records, recs...)
-		done += len(recs)
+		return nil, fmt.Errorf("experiment: %s campaign %s: %w", kind, c.acr, err)
+	}
+	d := &dataset.D1{}
+	for _, c := range camps {
+		d.Records = append(d.Records, c.recs...)
 	}
 	return d, nil
 }

@@ -81,10 +81,15 @@ func Run[T any](ctx context.Context, opts Options, n int, job func(ctx context.C
 // the same output the serial loop would.
 //
 // Jobs run speculatively at most 2×workers indices ahead of the lowest
-// undelivered index, bounding both memory and wasted work after a stop.
-// A panic inside a job surfaces as an error naming the job. On any
-// error the first one (in job-index order of delivery) is returned and
-// the partial output already consumed should be discarded by the caller.
+// undelivered index, which bounds memory. It does not make a stop free:
+// cancellation only skips jobs that have not started, jobs in flight run
+// to completion, and a worker can dequeue one more job before the
+// stopping delivery's cancel lands. A quota producer should therefore
+// make a job whose result is already moot a no-op, as BuildD1 does for
+// a campaign whose quota is met. A panic inside a job surfaces as an
+// error naming the job. On any error the first one (in job-index order
+// of delivery) is returned and the partial output already consumed
+// should be discarded by the caller.
 func Collect[T any](ctx context.Context, opts Options, gen func(i int) (func(context.Context) (T, error), bool), consume func(i int, v T) error) error {
 	workers := opts.workers()
 	window := 2 * workers
