@@ -2,6 +2,7 @@ package carrier
 
 import (
 	"mmlab/internal/config"
+	"mmlab/internal/rng"
 	"mmlab/internal/units"
 )
 
@@ -169,7 +170,7 @@ func chinaMobileBandPlan() BandPlan {
 // genericBandPlan synthesizes a modest plan for carriers the paper does
 // not detail, seeded per carrier for variety.
 func genericBandPlan(seed int64, rats []config.RAT) BandPlan {
-	rng := newRng(seed)
+	rng := rng.New(seed)
 	lteChoices := []uint32{100, 300, 1300, 1451, 1650, 2850, 3050, 3350, 6200, 6300, 9260, 9435}
 	n := 3 + rng.Intn(3)
 	uses := make([]ChannelUse, 0, n)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mmlab/internal/config"
+	"mmlab/internal/rng"
 )
 
 func TestRegistryMatchesTable3(t *testing.T) {
@@ -104,7 +105,7 @@ func TestHasRATAndString(t *testing.T) {
 
 func TestPoolPick(t *testing.T) {
 	p := NewPool([]float64{1, 2}, []float64{3, 1})
-	rng := newRng(7)
+	rng := rng.New(7)
 	counts := map[float64]int{}
 	for i := 0; i < 10000; i++ {
 		counts[p.Pick(rng)]++
@@ -117,8 +118,8 @@ func TestPoolPick(t *testing.T) {
 
 func TestPoolDeterministic(t *testing.T) {
 	p := Uniform(1, 2, 3, 4, 5)
-	a := p.Pick(newRng(42))
-	b := p.Pick(newRng(42))
+	a := p.Pick(rng.New(42))
+	b := p.Pick(rng.New(42))
 	if a != b {
 		t.Error("same seed must give same pick")
 	}
@@ -132,7 +133,7 @@ func TestPoolConstructors(t *testing.T) {
 	if d.IsSingle() || len(d.Values) != 3 {
 		t.Errorf("Dominated malformed: %+v", d)
 	}
-	rng := newRng(1)
+	rng := rng.New(1)
 	n3 := 0
 	for i := 0; i < 5000; i++ {
 		if d.Pick(rng) == 3 {

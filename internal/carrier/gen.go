@@ -7,6 +7,7 @@ import (
 
 	"mmlab/internal/config"
 	"mmlab/internal/geo"
+	"mmlab/internal/rng"
 	"mmlab/internal/units"
 )
 
@@ -51,7 +52,7 @@ func (g *Generator) updater(cellID uint32, class string, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
-	return newRng(seedWith(g.Carrier.Acronym+"|upd|"+class, uint64(cellID))).Float64() < rate
+	return rng.New(seedWith(g.Carrier.Acronym+"|upd|"+class, uint64(cellID))).Float64() < rate
 }
 
 // draw picks a value for param at this site, honoring the policy's scope
@@ -76,7 +77,7 @@ func (g *Generator) draw(param string, pp ParamPolicy, site CellSite, epoch int,
 	if epoch > 0 && g.updater(site.Identity.CellID, class, rate) {
 		seed = seedWith(fmt.Sprint(seed), uint64(epoch))
 	}
-	return pp.Pool.Pick(newRng(seed))
+	return pp.Pool.Pick(rng.New(seed))
 }
 
 // priorityFor draws the reselection priority of a channel as seen from a
@@ -86,7 +87,7 @@ func (g *Generator) draw(param string, pp ParamPolicy, site CellSite, epoch int,
 func (g *Generator) priorityFor(site CellSite, earfcn uint32, rat config.RAT, epoch int) int {
 	if rat != config.RATLTE {
 		if pool, ok := g.Profile.RATPriority[rat]; ok {
-			return config.ClampPriority(int(pool.Pick(newRng(seedFor(g.Carrier.Acronym, "ratprio", rat.String())))))
+			return config.ClampPriority(int(pool.Pick(rng.New(seedFor(g.Carrier.Acronym, "ratprio", rat.String())))))
 		}
 		return 1
 	}
@@ -110,13 +111,13 @@ func (g *Generator) priorityFor(site CellSite, earfcn uint32, rat config.RAT, ep
 	if g.Profile.PriorityScope&ScopeCell != 0 {
 		parts = append(parts, "cell", fmt.Sprint(site.Identity.CellID))
 	}
-	v := int(pool.Pick(newRng(seedFor(parts...))))
+	v := int(pool.Pick(rng.New(seedFor(parts...))))
 	// City-variant shift: the paper's Chicago distributions differ
 	// visibly from other cities (Fig. 20). Only a subset of channels is
 	// re-planned there, so per-channel dominance over the whole dataset
 	// survives (Fig. 18's ~6 % multi-value cells).
 	if g.Profile.CityVariantCity != "" && site.City == g.Profile.CityVariantCity {
-		shift := newRng(seedFor(g.Carrier.Acronym, "cityvariant", fmt.Sprint(earfcn)))
+		shift := rng.New(seedFor(g.Carrier.Acronym, "cityvariant", fmt.Sprint(earfcn)))
 		if shift.Float64() < 0.25 {
 			v++
 			if v > 6 {
@@ -138,8 +139,8 @@ func legacyRAT(r config.RAT) bool {
 // legacyDraw pins a parameter to a single per-carrier value with a rare
 // (3 %) per-cell deviation to the adjacent pool option.
 func (g *Generator) legacyDraw(param string, pp ParamPolicy, site CellSite) float64 {
-	base := pp.Pool.Pick(newRng(seedFor(g.Carrier.Acronym, param, "legacy")))
-	dev := newRng(seedFor(g.Carrier.Acronym, param, "legacydev", fmt.Sprint(site.Identity.CellID)))
+	base := pp.Pool.Pick(rng.New(seedFor(g.Carrier.Acronym, param, "legacy")))
+	dev := rng.New(seedFor(g.Carrier.Acronym, param, "legacydev", fmt.Sprint(site.Identity.CellID)))
 	if !pp.Pool.IsSingle() && dev.Float64() < 0.03 {
 		return pp.Pool.Pick(dev)
 	}
@@ -231,7 +232,7 @@ func (g *Generator) anomalousArea(site CellSite) bool {
 	if g.Carrier.Acronym != "CU" && g.Carrier.Acronym != "TH" {
 		return false
 	}
-	rng := newRng(seedFor(g.Carrier.Acronym, "anomaly", tileKey(site.Pos)))
+	rng := rng.New(seedFor(g.Carrier.Acronym, "anomaly", tileKey(site.Pos)))
 	return rng.Float64() < 0.02
 }
 
@@ -311,7 +312,7 @@ func (g *Generator) PrimaryEvent(site CellSite, epoch int) config.EventType {
 	if epoch > 0 && g.updater(site.Identity.CellID, "active", g.Profile.ActiveUpdateRate) {
 		seed = seedWith(fmt.Sprint(seed), uint64(epoch))
 	}
-	rng := newRng(seed)
+	rng := rng.New(seed)
 	total := 0.0
 	for _, e := range order {
 		total += g.Profile.EventMix[e]
@@ -374,7 +375,7 @@ func (g *Generator) measConfig(site CellSite, epoch int) config.MeasConfig {
 		ev.Offset = config.QuantizeOffset(units.Db(g.draw("a3Offset", p.A3Offset, site, epoch, "active", act)))
 		ev.Hysteresis = config.QuantizeHysteresis(units.Db(g.draw("a3Hyst", p.A3Hyst, site, epoch, "active", act)))
 	case config.EventA5:
-		useRSRQ := newRng(seedFor(g.Carrier.Acronym, "a5quant", "cell", fmt.Sprint(site.Identity.CellID))).Float64() < p.A5RSRQShare
+		useRSRQ := rng.New(seedFor(g.Carrier.Acronym, "a5quant", "cell", fmt.Sprint(site.Identity.CellID))).Float64() < p.A5RSRQShare
 		if useRSRQ {
 			ev.Quantity = config.RSRQ
 			ev.Threshold1 = units.LevelFromDb(config.QuantizeEventRSRQThreshold(units.Db(g.draw("a5t1q", p.A5T1RSRQ, site, epoch, "active", act))))
@@ -438,7 +439,7 @@ func (g *Generator) measConfig(site CellSite, epoch int) config.MeasConfig {
 func (g *Generator) Config(site CellSite, epoch int) *config.CellConfig {
 	c := &config.CellConfig{
 		Identity:   site.Identity,
-		TxPowerDBm: units.Dbm(12 + 3*newRng(seedFor(g.Carrier.Acronym, "txpower", fmt.Sprint(site.Identity.CellID))).Float64()),
+		TxPowerDBm: units.Dbm(12 + 3*rng.New(seedFor(g.Carrier.Acronym, "txpower", fmt.Sprint(site.Identity.CellID))).Float64()),
 		Serving:    g.servingConfig(site, epoch),
 		Freqs:      g.freqRelations(site, epoch),
 	}
@@ -446,7 +447,7 @@ func (g *Generator) Config(site CellSite, epoch int) *config.CellConfig {
 		c.Meas = g.measConfig(site, epoch)
 	}
 	// A small fraction of cells carry a forbidden-neighbor list (SIB4).
-	rng := newRng(seedFor(g.Carrier.Acronym, "forbidden", fmt.Sprint(site.Identity.CellID)))
+	rng := rng.New(seedFor(g.Carrier.Acronym, "forbidden", fmt.Sprint(site.Identity.CellID)))
 	if rng.Float64() < 0.05 {
 		n := 1 + rng.Intn(3)
 		for i := 0; i < n; i++ {

@@ -103,6 +103,3 @@ func seedWith(base string, nums ...uint64) int64 {
 	}
 	return int64(h.Sum64())
 }
-
-// newRng builds a deterministic generator from a seed.
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -1,6 +1,9 @@
 package carrier
 
-import "mmlab/internal/config"
+import (
+	"mmlab/internal/config"
+	"mmlab/internal/rng"
+)
 
 // Scope says at what granularity a parameter's value is (re)drawn. It is a
 // bit set: including ScopeCell gives per-cell variation (spatial diversity
@@ -267,7 +270,7 @@ func moProfile() PolicyProfile {
 // the paper does not detail, seeded for cross-carrier variety. diversity
 // in [0,1] scales how many alternate values each pool carries.
 func genericProfile(seed int64, diversity float64) PolicyProfile {
-	rng := newRng(seed)
+	rng := rng.New(seed)
 	if diversity <= 0 {
 		diversity = 0.3
 	}

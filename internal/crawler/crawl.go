@@ -10,6 +10,7 @@ import (
 	"mmlab/internal/carrier"
 	"mmlab/internal/config"
 	"mmlab/internal/dataset"
+	"mmlab/internal/rng"
 	"mmlab/internal/sib"
 	"mmlab/internal/sim"
 )
@@ -72,7 +73,7 @@ type siteCrawl struct {
 func crawlSite(f *carrier.Fleet, site carrier.CellSite, seed int64) (siteCrawl, error) {
 	var buf bytes.Buffer
 	dw := sib.NewDiagWriter(&buf)
-	rng := rand.New(rand.NewSource(seed ^ int64(site.Identity.CellID)*0x1000193))
+	rng := rng.New(seed ^ int64(site.Identity.CellID)*0x1000193)
 	visits := 0
 	for _, month := range visitPlan(rng) {
 		cfg := f.Gen.Config(site, month)

@@ -6,9 +6,9 @@ package mobility
 
 import (
 	"math"
-	"math/rand"
 
 	"mmlab/internal/geo"
+	"mmlab/internal/rng"
 )
 
 // Model yields a position for every millisecond of simulation time.
@@ -132,7 +132,7 @@ type rwLeg struct {
 // NewRandomWaypoint precomputes enough legs to cover horizonMs of
 // movement.
 func NewRandomWaypoint(seed int64, region geo.Rect, minKmh, maxKmh float64, pauseMs int64, horizonMs int64) *RandomWaypoint {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	rw := &RandomWaypoint{region: region}
 	cur := geo.Pt(
 		region.Min.X+rng.Float64()*region.Width(),

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"mmlab/internal/rng"
 	"mmlab/internal/units"
 )
 
@@ -30,7 +31,7 @@ type ShadowField struct {
 // cell identity) so shadowing to different cells is independent.
 func NewShadowField(seed int64, sigmaDB, corrDist float64) *ShadowField {
 	const nWaves = 24
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	f := &ShadowField{
 		sigma: sigmaDB,
 		kx:    make([]float64, nWaves),
@@ -87,7 +88,7 @@ func NewFastFading(seed int64, sigmaDB, rho float64) *FastFading {
 	if rho >= 1 {
 		rho = 0.99
 	}
-	return &FastFading{rng: rand.New(rand.NewSource(seed)), sigma: sigmaDB, rho: rho}
+	return &FastFading{rng: rng.New(seed), sigma: sigmaDB, rho: rho}
 }
 
 // Next advances the process one measurement interval and returns the fading
