@@ -3,7 +3,6 @@ package crawler
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"testing"
 
 	"mmlab/internal/carrier"
@@ -13,6 +12,7 @@ import (
 	"mmlab/internal/geo"
 	"mmlab/internal/mobility"
 	"mmlab/internal/netsim"
+	"mmlab/internal/rng"
 	"mmlab/internal/sib"
 	"mmlab/internal/traffic"
 )
@@ -282,7 +282,7 @@ func TestParseDiagHandoffEvents(t *testing.T) {
 }
 
 func TestVisitPlan(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	multi := 0
 	const n = 5000
 	for i := 0; i < n; i++ {

@@ -3,6 +3,8 @@ package geo
 import (
 	"math/rand"
 	"testing"
+
+	"mmlab/internal/rng"
 )
 
 // randomSites scatters n sites over a rectangle with a corner away from the
@@ -20,7 +22,7 @@ func randomSites(rng *rand.Rand, n int) []Point {
 // outside the site bounding box) and radii, the grid must return exactly
 // the indices the linear WithinRadius scan returns, in ascending order.
 func TestGridIndexMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	rng := rng.New(42)
 	for _, n := range []int{1, 7, 500} {
 		sites := randomSites(rng, n)
 		for _, cellSize := range []float64{75, 400, 1300, 9000} {
@@ -69,7 +71,7 @@ func TestGridIndexEdgeCases(t *testing.T) {
 // TestGridIndexBufReuse checks that reusing a result buffer neither leaks
 // prior contents nor changes the answer.
 func TestGridIndexBufReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	rng := rng.New(9)
 	sites := randomSites(rng, 200)
 	g := NewGridIndex(sites, 500)
 	buf := g.WithinRadius(Pt(0, 3000), 2500, nil)

@@ -8,17 +8,24 @@ import (
 
 // globalRandOK are the math/rand package-level functions that do NOT
 // draw from the process-global source: constructors for injectable
-// generators.
+// generators. rand.NewSource is not among them; see seedingPkg.
 var globalRandOK = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
+	"New": true, "NewZipf": true,
 	// math/rand/v2 constructors.
 	"NewPCG": true, "NewChaCha8": true,
 }
 
+// seedingPkg is the one package that may call rand.NewSource: every
+// other seeded generator comes from its rng.New, which has the same
+// stream without math/rand's eager 607-word seeding.
+const seedingPkg = "internal/rng"
+
 // checkGlobalRand bans package-level math/rand draws everywhere,
 // tests included: the global source is seeded per-process, so anything
 // it feeds cannot be replayed. Randomness must flow from a seeded
-// *rand.Rand handed in by the caller (see sim.DeriveSeed).
+// *rand.Rand handed in by the caller (see sim.DeriveSeed). It also
+// keeps one seeding path: rand.NewSource is reported outside
+// internal/rng.
 func checkGlobalRand(u *Unit) []Finding {
 	var out []Finding
 	for _, file := range u.Files {
@@ -36,19 +43,23 @@ func checkGlobalRand(u *Unit) []Finding {
 				return true
 			}
 			fn, isFunc := obj.(*types.Func)
-			if !isFunc || globalRandOK[fn.Name()] {
-				return true
-			}
 			// Methods on *rand.Rand arrive as selections on a value, not
 			// package-level uses; only flag package-qualified calls.
-			if pkgOf(u, sel) == "" {
+			if !isFunc || globalRandOK[fn.Name()] || pkgOf(u, sel) == "" {
 				return true
 			}
+			msg := fmt.Sprintf("%s.%s draws from the process-global source; inject a seeded *rand.Rand instead",
+				path, fn.Name())
+			if fn.Name() == "NewSource" {
+				if pathMatches(u.ImportPath, []string{seedingPkg}) {
+					return true
+				}
+				msg = fmt.Sprintf("%s.NewSource seeds outside %s; use rng.New, the one seeding path", path, seedingPkg)
+			}
 			out = append(out, Finding{
-				Pos:   u.Fset.Position(sel.Pos()),
-				Check: "globalrand",
-				Message: fmt.Sprintf("%s.%s draws from the process-global source; inject a seeded *rand.Rand instead",
-					path, fn.Name()),
+				Pos:     u.Fset.Position(sel.Pos()),
+				Check:   "globalrand",
+				Message: msg,
 			})
 			return true
 		})

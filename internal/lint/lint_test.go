@@ -112,6 +112,28 @@ func TestGlobalRandGolden(t *testing.T) {
 	runGolden(t, "globalrand", "mmlab/testdata/globalrand", "globalrand")
 }
 
+// TestGlobalRandSeedingPkg: inside internal/rng, rand.NewSource is the
+// seeding path itself and is not reported; global draws still are.
+func TestGlobalRandSeedingPkg(t *testing.T) {
+	units, err := LoadDir(filepath.Join("testdata", "src", "globalrand"), "mmlab/internal/rng")
+	if err != nil {
+		t.Fatal(err)
+	}
+	draws := 0
+	for _, f := range Analyze(units) {
+		if f.Check != "globalrand" {
+			continue
+		}
+		if strings.Contains(f.Message, "NewSource") {
+			t.Errorf("NewSource reported inside internal/rng: %s", f)
+		}
+		draws++
+	}
+	if draws != 3 {
+		t.Errorf("%d global-draw findings inside internal/rng, want 3", draws)
+	}
+}
+
 func TestGorphanGolden(t *testing.T) {
 	// Loaded under the supervised pipeline path so the check applies.
 	runGolden(t, "gorphan", "mmlab/internal/pipeline", "gorphan")

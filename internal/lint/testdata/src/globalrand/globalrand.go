@@ -1,6 +1,6 @@
 // Package globalrand is mmvet analyzer testdata: package-level
-// math/rand draws are banned everywhere; seeded *rand.Rand flows are
-// legal.
+// math/rand draws are banned everywhere, rand.NewSource everywhere but
+// internal/rng; seeded *rand.Rand flows are legal.
 package globalrand
 
 import "math/rand"
@@ -12,11 +12,18 @@ func draws() (int, float64) {
 	return a, b
 }
 
-// Seeded generators are the sanctioned pattern: constructors are legal,
-// and methods on the injected *rand.Rand are not package-level draws.
-func seeded(seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
+// Seeded generators are the sanctioned pattern: rand.New over a source
+// is legal, and methods on the injected *rand.Rand are not package-level
+// draws.
+func seeded(src rand.Source) float64 {
+	rng := rand.New(src)
 	return rng.Float64() + float64(rng.Intn(3))
+}
+
+// Seeding itself has one path, rng.New; rand.NewSource is reported
+// everywhere but internal/rng.
+func reseeded(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed)) // want "rand.NewSource seeds outside internal/rng"
 }
 
 func annotated() int {

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"mmlab/internal/config"
 	"mmlab/internal/geo"
 	"mmlab/internal/radio"
+	"mmlab/internal/rng"
 )
 
 // scanAudible is the test-local reference for audibility: a linear
@@ -59,7 +59,7 @@ func TestAudibleGridMatchesLinear(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		w := testWorld(t, "A", shape)
-		rng := rand.New(rand.NewSource(17))
+		rng := rng.New(17)
 		probe := w.NewProbe()
 		for q := 0; q < 150; q++ {
 			pos := geo.Pt(-2000+rng.Float64()*10000, -2000+rng.Float64()*8000)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+
+	"mmlab/internal/rng"
 )
 
 // chunkReader yields the stream in pseudo-random chunk sizes so every
@@ -76,7 +78,7 @@ func damage(t *testing.T, rng *rand.Rand, n int) []byte {
 // yields exactly the records and stats of a batch scan.
 func TestStreamScannerMatchesDiagScanner(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		stream := damage(t, rng, 30)
 
 		batch := NewDiagScanner(stream)
@@ -164,7 +166,7 @@ func TestDiagScannerCopyDetachesRecords(t *testing.T) {
 // until the next Next call; with Copy retained records stay intact.
 func TestStreamScannerCopyDetachesRecords(t *testing.T) {
 	data := scanStream(t, 64)
-	rng := rand.New(rand.NewSource(1))
+	rng := rng.New(1)
 	ss := NewStreamScanner(&chunkReader{data: data, rng: rng}, ScanOptions{Copy: true})
 	recs := collectStream(t, ss)
 	if len(recs) != 64 {
