@@ -12,10 +12,9 @@
 // Subcommands:
 //
 //	mmlabd serve [-tcp :7733] [-unix path] [-control path] [-checkpoint dir]
-//	       [-checkpoint.every 0] [-extract N] [-queue N] [-aggqueue N]
-//	       [-idle 30s] [-shed block|drop] [-restart.backoff 100ms]
-//	       [-restart.max 5s] [-breaker.fails 3] [-breaker.window 1m]
-//	    Run the daemon until a signal, then drain and checkpoint. With
+//	       [-checkpoint.every 0] [-idle 30s] [-drain 1m]
+//	    Run the daemon until a signal, then drain and checkpoint. A full
+//	    queue backpressures the senders; no update is ever dropped. With
 //	    -checkpoint.every > 0 a resumable checkpoint is also written
 //	    periodically, a restart resumes the previous one, and feeders
 //	    receive durable acks. Unix socket files left behind by a
@@ -23,7 +22,7 @@
 //
 //	mmlabd status [-control path] [-format summary|json]
 //	    Query a running daemon's control socket: per-stream scan and
-//	    parse statistics, queue depths, drop/panic/quarantine counters,
+//	    parse statistics, queue depths, panic/quarantine counters,
 //	    and the last periodic checkpoint time.
 //
 //	mmlabd feed -i diag.bin [-tcp addr|-unix path] [-carrier A] [-stream s0]
@@ -82,44 +81,19 @@ func serve(args []string) {
 		control    = fs.String("control", "", "control socket path for `mmlabd status` (empty to disable)")
 		checkpoint = fs.String("checkpoint", "", "directory receiving checkpoint.json on drain")
 		ckptEvery  = fs.Duration("checkpoint.every", 0, "periodic checkpoint interval (0 = drain-only); requires -checkpoint")
-		extract    = fs.Int("extract", 0, "extract worker pool size (0 = default)")
-		queue      = fs.Int("queue", 0, "per-shard record queue bound (0 = default)")
-		aggqueue   = fs.Int("aggqueue", 0, "aggregate update queue bound (0 = default)")
 		idle       = fs.Duration("idle", 30*time.Second, "per-connection idle timeout")
-		shed       = fs.String("shed", "block", "saturation policy: block (backpressure) or drop (shed newest, counted)")
 		drainT     = fs.Duration("drain", time.Minute, "graceful drain deadline")
-		rBackoff   = fs.Duration("restart.backoff", 0, "initial backoff before a poisoned stream restarts (0 = default 100ms)")
-		rMax       = fs.Duration("restart.max", 0, "restart backoff cap (0 = default 5s)")
-		bFails     = fs.Int("breaker.fails", 0, "poisons within -breaker.window that quarantine a stream (0 = default 3)")
-		bWindow    = fs.Duration("breaker.window", 0, "circuit-breaker failure window (0 = default 1m)")
 	)
 	fs.Parse(args)
 	if *ckptEvery > 0 && *checkpoint == "" {
 		log.Fatal("serve: -checkpoint.every requires -checkpoint")
 	}
 
-	cfg := pipeline.Config{
-		ExtractWorkers:  *extract,
-		ShardQueue:      *queue,
-		AggregateQueue:  *aggqueue,
+	d := pipeline.NewDaemon(pipeline.Config{
 		IdleTimeout:     *idle,
 		CheckpointDir:   *checkpoint,
 		CheckpointEvery: *ckptEvery,
-		RestartBackoff:  *rBackoff,
-		RestartMax:      *rMax,
-		BreakerFails:    *bFails,
-		BreakerWindow:   *bWindow,
-	}
-	switch *shed {
-	case "block":
-		cfg.Shed = pipeline.ShedBlock
-	case "drop":
-		cfg.Shed = pipeline.ShedDropNewest
-	default:
-		log.Fatalf("serve: unknown -shed %q (want block or drop)", *shed)
-	}
-
-	d := pipeline.NewDaemon(cfg)
+	})
 	if n, err := d.Restore(); err != nil {
 		log.Fatalf("serve: restoring checkpoint: %v", err)
 	} else if n > 0 {

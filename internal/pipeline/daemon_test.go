@@ -3,6 +3,8 @@ package pipeline_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -197,8 +199,8 @@ func TestDaemonIdleTimeoutReconnect(t *testing.T) {
 	}
 }
 
-// TestDaemonBackpressureLossless saturates tiny queues under ShedBlock:
-// intake must slow down instead of dropping, and the result must still
+// TestDaemonBackpressureLossless saturates tiny queues: intake must
+// slow down instead of dropping, and the result must still
 // match the batch reference exactly.
 func TestDaemonBackpressureLossless(t *testing.T) {
 	data := capture(t, "A", 9)
@@ -211,7 +213,7 @@ func TestDaemonBackpressureLossless(t *testing.T) {
 	waitFor(t, d, func(s pipeline.Status) bool { return completeStreams(s) == 1 })
 	cp := drain(t, d)
 	if got := d.Status(); got.Drops != 0 {
-		t.Errorf("ShedBlock must not drop: %d drops", got.Drops)
+		t.Errorf("%d drops under backpressure", got.Drops)
 	}
 	want, err := pipeline.Reference([]pipeline.FeedInput{{Carrier: "A", Stream: "s0", Data: data}})
 	if err != nil {
@@ -219,31 +221,6 @@ func TestDaemonBackpressureLossless(t *testing.T) {
 	}
 	if !bytes.Equal(encodeCP(t, cp), encodeCP(t, want)) {
 		t.Fatal("checkpoint differs under backpressure")
-	}
-}
-
-// TestDaemonShedDropNewest saturates the aggregate queue under the drop
-// policy: the daemon must keep absorbing, count the drops, and still
-// drain cleanly with the stream sealed.
-func TestDaemonShedDropNewest(t *testing.T) {
-	data := capture(t, "A", 11)
-	cfg := pipeline.Config{AggregateQueue: 1, Shed: pipeline.ShedDropNewest}
-	cfg.Hooks.AggregateDelay = 2 * time.Millisecond
-	d, addr := startDaemon(t, cfg)
-	if _, err := feeder.Feed(context.Background(), data, feeder.Options{Addr: addr, Carrier: "A", Stream: "s0", Seed: 4}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, d, func(s pipeline.Status) bool { return completeStreams(s) == 1 })
-	cp := drain(t, d)
-	status := d.Status()
-	if status.Drops == 0 {
-		t.Error("saturated drop policy recorded no drops")
-	}
-	if len(cp.Streams) != 1 {
-		t.Fatalf("checkpoint has %d streams, want 1", len(cp.Streams))
-	}
-	if completeStreams(status) != 1 {
-		t.Error("end marker must never be shed")
 	}
 }
 
@@ -278,6 +255,36 @@ func TestDaemonStatusSocket(t *testing.T) {
 		if !strings.Contains(sum, field) {
 			t.Errorf("summary %q missing %q", sum, field)
 		}
+	}
+	drain(t, d)
+}
+
+// TestControlRequestBounded sends a control request far larger than
+// "status\n" with no newline: the daemon must hang up well before its 5 s
+// request deadline instead of buffering it, and keep serving queries.
+func TestControlRequestBounded(t *testing.T) {
+	d, _ := startDaemon(t, pipeline.Config{})
+	sock := t.TempDir() + "/ctl.sock"
+	if err := d.ListenControl(sock); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(3 * time.Second))
+	conn.Write(bytes.Repeat([]byte{'x'}, 1<<20)) // fails once the daemon hangs up
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("control connection still open 3 s into an oversized request")
+	}
+	if n > 0 {
+		t.Fatal("daemon answered an oversized request")
+	}
+	if _, err := pipeline.QueryStatus(sock); err != nil {
+		t.Fatalf("status after an oversized request: %v", err)
 	}
 	drain(t, d)
 }

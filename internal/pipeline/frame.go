@@ -2,9 +2,8 @@
 // long-running daemon that accepts many concurrent binary diag streams
 // (TCP and unix sockets) and runs them through a bounded
 // decode → extract → route → aggregate pipeline with explicit
-// backpressure, per-connection supervision, load shedding, and a
-// graceful SIGTERM drain that checkpoints live per-carrier catalogs and
-// aggregates to disk. The batch producers build a world and write a
+// backpressure, per-connection supervision, and a graceful SIGTERM drain
+// that checkpoints live per-carrier catalogs and aggregates to disk. The batch producers build a world and write a
 // file; this package is the first piece of the codebase that runs
 // forever instead of to completion.
 package pipeline

@@ -11,22 +11,6 @@ import (
 	"mmlab/internal/sib"
 )
 
-// ShedPolicy decides what happens when the aggregate queue saturates.
-type ShedPolicy int
-
-const (
-	// ShedBlock applies backpressure: the extract stage blocks, its
-	// shard queues fill, connection readers stop pulling, and the
-	// kernel's socket buffers slow the senders down. Nothing is lost;
-	// intake slows instead of memory growing. The default.
-	ShedBlock ShedPolicy = iota
-	// ShedDropNewest drops the update that found the queue full and
-	// counts it — ingest keeps absorbing bytes at full speed at the
-	// price of counted data loss. For deployments where liveness of the
-	// live counters beats completeness of the aggregates.
-	ShedDropNewest
-)
-
 // Hooks are fault-injection points for robustness tests: they let a test
 // poison a stream mid-flight or stall the aggregate stage to force the
 // queues into saturation. Zero value: no interference.
@@ -48,9 +32,11 @@ type Config struct {
 	// ShardQueue bounds each extract shard's record queue. Default 1024.
 	ShardQueue int
 	// AggregateQueue bounds the route→aggregate update queue. Default 256.
+	// A full queue applies backpressure: the extract stage blocks, its
+	// shard queues fill, connection readers stop pulling, and the
+	// kernel's socket buffers slow the senders down. Nothing is lost;
+	// intake slows instead of memory growing.
 	AggregateQueue int
-	// Shed is the saturation policy at the aggregate queue.
-	Shed ShedPolicy
 	// IdleTimeout bounds how long a connection may sit without
 	// delivering a byte before it is cut (the stream's extraction state
 	// survives the cut; a reconnect resumes it). Default 30s.
@@ -176,7 +162,6 @@ type streamState struct {
 	connects    atomic.Int64
 	disconnects atomic.Int64
 	conns       atomic.Int64
-	drops       atomic.Int64
 	shed        atomic.Int64 // records discarded at intake while poisoned
 	restarts    atomic.Int64 // supervisor restarts granted
 
@@ -325,8 +310,7 @@ type item struct {
 }
 
 // update is one unit on the route→aggregate queue. Stats is a cumulative
-// snapshot (not a delta), so a shed update costs only its data payload,
-// never the accounting. seq is the record high-water mark the payload
+// snapshot (not a delta). seq is the record high-water mark the payload
 // accounts for, and resume the parser's state at exactly that point.
 type update struct {
 	st     *streamState
@@ -360,7 +344,6 @@ type pipeline struct {
 	stop      chan struct{}
 	restartWG sync.WaitGroup
 
-	drops       atomic.Int64
 	panics      atomic.Int64
 	quarantines atomic.Int64
 }
@@ -434,11 +417,11 @@ func (p *pipeline) extract(w int) {
 				continue
 			}
 			es.seq = it.seq
-			p.route(st, es, false, false)
+			p.route(st, es, false)
 		case itemEnd:
 			es.sp.Close()
 			es.seq = it.seq
-			p.route(st, es, true, true)
+			p.route(st, es, true)
 			delete(parsers, st)
 		}
 	}
@@ -447,7 +430,7 @@ func (p *pipeline) extract(w int) {
 	// the aggregates, exactly as a batch parse flushes at EOF.
 	for st, es := range parsers {
 		es.sp.Close()
-		p.route(st, es, false, true)
+		p.route(st, es, false)
 	}
 }
 
@@ -550,10 +533,9 @@ func (p *pipeline) restartStream(st *streamState, backoff time.Duration) {
 }
 
 // route is the route stage: it takes what the parser completed since the
-// last call and forwards it to the aggregate queue under the configured
-// saturation policy. force bypasses shedding for the markers that must
-// not be lost (stream end, drain flush).
-func (p *pipeline) route(st *streamState, es *extractState, end, force bool) {
+// last call and forwards it to the aggregate queue, blocking while the
+// queue is full.
+func (p *pipeline) route(st *streamState, es *extractState, end bool) {
 	sp := es.sp
 	snaps := sp.TakeSnapshots()
 	events := sp.TakeEvents()
@@ -566,15 +548,6 @@ func (p *pipeline) route(st *streamState, es *extractState, end, force bool) {
 		u.resume = &r
 	}
 	st.lastRouted.Store(&routedState{seq: es.seq, parser: u.resume})
-	if p.cfg.Shed == ShedDropNewest && !force {
-		select {
-		case p.aggCh <- u:
-		default:
-			p.drops.Add(1)
-			st.drops.Add(1)
-		}
-		return
-	}
 	select {
 	case p.aggCh <- u:
 	case <-p.aborted:

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strings"
@@ -11,13 +12,15 @@ import (
 )
 
 // Status is a live snapshot of the daemon: per-stream scan and parse
-// statistics, queue depths, and the shed/panic counters. It is served
-// over the control socket while ingest continues.
+// statistics, queue depths, and the panic counters. It is served over
+// the control socket while ingest continues.
 type Status struct {
-	UptimeMs      int64 `json:"uptimeMs"`
-	Accepted      int64 `json:"accepted"`
-	Rejected      int64 `json:"rejected"`
-	ActiveConns   int   `json:"activeConns"`
+	UptimeMs    int64 `json:"uptimeMs"`
+	Accepted    int64 `json:"accepted"`
+	Rejected    int64 `json:"rejected"`
+	ActiveConns int   `json:"activeConns"`
+	// Drops is always 0: the daemon never sheds an update, a full queue
+	// blocks instead. The field stays for readers of the status JSON.
 	Drops         int64 `json:"drops"`
 	Panics        int64 `json:"panics"`
 	ConnPanics    int64 `json:"connPanics"`
@@ -58,9 +61,10 @@ type StreamStatus struct {
 	Bad          int    `json:"bad"`
 	Snapshots    int    `json:"snapshots"`
 	Events       int    `json:"events"`
-	Drops        int64  `json:"drops"`
-	Complete     bool   `json:"complete"`
-	Poisoned     bool   `json:"poisoned"`
+	// Drops is always 0, as in Status.
+	Drops    int64 `json:"drops"`
+	Complete bool  `json:"complete"`
+	Poisoned bool  `json:"poisoned"`
 	// Crash-safety counters: records discarded at intake while the
 	// stream was poisoned, supervisor restarts granted, whether the
 	// circuit breaker quarantined the stream, and the stream's intake
@@ -79,7 +83,6 @@ func (d *Daemon) Status() Status {
 		UptimeMs:         time.Since(d.started).Milliseconds(),
 		Accepted:         d.accepted.Load(),
 		Rejected:         d.rejected.Load(),
-		Drops:            d.p.drops.Load(),
 		Panics:           d.p.panics.Load(),
 		ConnPanics:       d.connPanics.Load(),
 		SeqViolations:    d.seqViolations.Load(),
@@ -115,7 +118,6 @@ func (d *Daemon) Status() Status {
 			Records:      st.records.Load(),
 			Resyncs:      st.resyncs.Load(),
 			SkippedBytes: st.skipped.Load(),
-			Drops:        st.drops.Load(),
 			Poisoned:     st.poisoned.Load(),
 			ShedRecords:  st.shed.Load(),
 			Restarts:     st.restarts.Load(),
@@ -163,6 +165,11 @@ func (s Status) Summary() string {
 		shed, restarts, s.Quarantined, s.Checkpoints, lastCkpt)
 }
 
+// maxControlRequest bounds a control request in bytes. The only request
+// is "status\n"; a client that sends more without a newline is cut off
+// instead of being buffered.
+const maxControlRequest = 64
+
 // ListenControl serves status queries on a unix socket: one line of
 // request ("status"), one JSON document of response.
 func (d *Daemon) ListenControl(path string) error {
@@ -184,7 +191,7 @@ func (d *Daemon) ListenControl(path string) error {
 				defer d.ctlWG.Done()
 				defer conn.Close()
 				conn.SetDeadline(time.Now().Add(5 * time.Second))
-				line, err := bufio.NewReader(conn).ReadString('\n')
+				line, err := bufio.NewReader(io.LimitReader(conn, maxControlRequest)).ReadString('\n')
 				if err != nil {
 					return
 				}

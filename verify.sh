@@ -6,23 +6,9 @@
 #   ./verify.sh lint       determinism static analysis only (mmvet: five
 #                          analyzers, no flags, no baseline — any finding,
 #                          malformed //mmvet: annotations included, fails)
-#   ./verify.sh bench LABEL [bench flags...]
-#                          run the country-scale benches and write
-#                          BENCH_LABEL.json via cmd/bench2json, e.g.:
-#                            ./verify.sh bench seed -country.radius 2800
-#                            ./verify.sh bench pr6
-#                          BENCHTIME (default 3x) sets -benchtime.
+#
+# The repository's one benchmark is perfbench (bash perfbench/run.sh).
 set -e
-
-if [ "$1" = "bench" ]; then
-    label=${2:?usage: ./verify.sh bench LABEL [bench flags...]}
-    shift 2
-    go test -run '^$' -bench 'BenchmarkCountry' -benchmem \
-        -benchtime "${BENCHTIME:-3x}" "$@" . |
-        go run ./cmd/bench2json -label "$label" -o "BENCH_${label}.json"
-    echo "wrote BENCH_${label}.json"
-    exit 0
-fi
 
 if [ "$1" = "lint" ]; then
     exec go run ./cmd/mmvet ./...
