@@ -14,7 +14,9 @@
 //	mmlabd serve [-tcp :7733] [-unix path] [-control path] [-checkpoint dir]
 //	       [-checkpoint.every 0] [-idle 30s] [-drain 1m]
 //	    Run the daemon until a signal, then drain and checkpoint. A full
-//	    queue backpressures the senders; no update is ever dropped. With
+//	    queue backpressures the senders; no update is ever dropped. A
+//	    stream whose extraction panics is quarantined for good; the
+//	    others carry on. With
 //	    -checkpoint.every > 0 a resumable checkpoint is also written
 //	    periodically, a restart resumes the previous one, and feeders
 //	    receive durable acks. Unix socket files left behind by a

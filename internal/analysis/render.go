@@ -8,7 +8,6 @@ import (
 
 	"mmlab/internal/carrier"
 	"mmlab/internal/config"
-	"mmlab/internal/dataset"
 )
 
 // Table2 renders the LTE parameter catalog grouped by category, the shape
@@ -275,17 +274,6 @@ func RenderFig22(groups []Fig22Group) string {
 		fmt.Fprintf(&b, "  %-12s params=%2d %s\n", g.Label, len(g.Values), g.Simpson)
 	}
 	return b.String()
-}
-
-// FilterD2 narrows a dataset (helper for the cmd layer).
-func FilterD2(d2 *dataset.D2, pred func(*dataset.D2Snapshot) bool) *dataset.D2 {
-	out := &dataset.D2{}
-	for i := range d2.Snapshots {
-		if pred(&d2.Snapshots[i]) {
-			out.Snapshots = append(out.Snapshots, d2.Snapshots[i])
-		}
-	}
-	return out
 }
 
 func clip(s string, n int) string {

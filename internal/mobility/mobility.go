@@ -1,14 +1,14 @@
 // Package mobility provides the movement models behind the paper's
-// Type-II drive tests: local driving (<50 km/h), highway driving
-// (90–120 km/h, §4), static placement, waypoint routes and random
-// waypoint — each yielding the UE position at any simulation time.
+// Type-II drive tests (local driving <50 km/h, highway driving
+// 90–120 km/h, §4): static placement, constant-velocity drives and
+// waypoint routes — each yielding the UE position at any simulation
+// time.
 package mobility
 
 import (
 	"math"
 
 	"mmlab/internal/geo"
-	"mmlab/internal/rng"
 )
 
 // Model yields a position for every millisecond of simulation time.
@@ -111,96 +111,4 @@ func (r *Route) At(tMs int64) geo.Point {
 	}
 	frac := (d - r.cumDist[i-1]) / segLen
 	return r.points[i-1].Lerp(r.points[i], frac)
-}
-
-// RandomWaypoint wanders within a region: pick a uniform destination, move
-// to it at a speed drawn from [minKmh, maxKmh], pause, repeat. Standard
-// mobility benchmark model; deterministic from its seed.
-type RandomWaypoint struct {
-	region  geo.Rect
-	legs    []rwLeg
-	totalMs int64
-}
-
-type rwLeg struct {
-	from, to geo.Point
-	startMs  int64
-	durMs    int64
-	pauseMs  int64
-}
-
-// NewRandomWaypoint precomputes enough legs to cover horizonMs of
-// movement.
-func NewRandomWaypoint(seed int64, region geo.Rect, minKmh, maxKmh float64, pauseMs int64, horizonMs int64) *RandomWaypoint {
-	rng := rng.New(seed)
-	rw := &RandomWaypoint{region: region}
-	cur := geo.Pt(
-		region.Min.X+rng.Float64()*region.Width(),
-		region.Min.Y+rng.Float64()*region.Height(),
-	)
-	var t int64
-	for t < horizonMs {
-		dst := geo.Pt(
-			region.Min.X+rng.Float64()*region.Width(),
-			region.Min.Y+rng.Float64()*region.Height(),
-		)
-		speed := KmhToMps(minKmh + rng.Float64()*(maxKmh-minKmh))
-		if speed <= 0 {
-			speed = 1
-		}
-		dur := int64(cur.Dist(dst) / speed * 1000)
-		if dur < 1 {
-			dur = 1
-		}
-		rw.legs = append(rw.legs, rwLeg{from: cur, to: dst, startMs: t, durMs: dur, pauseMs: pauseMs})
-		t += dur + pauseMs
-		cur = dst
-	}
-	rw.totalMs = t
-	return rw
-}
-
-// At implements Model.
-func (rw *RandomWaypoint) At(tMs int64) geo.Point {
-	if len(rw.legs) == 0 {
-		return rw.region.Center()
-	}
-	if tMs < 0 {
-		tMs = 0
-	}
-	if rw.totalMs > 0 {
-		tMs %= rw.totalMs
-	}
-	for _, leg := range rw.legs {
-		if tMs < leg.startMs+leg.durMs {
-			frac := float64(tMs-leg.startMs) / float64(leg.durMs)
-			if frac < 0 {
-				frac = 0
-			}
-			return leg.from.Lerp(leg.to, frac)
-		}
-		if tMs < leg.startMs+leg.durMs+leg.pauseMs {
-			return leg.to
-		}
-	}
-	return rw.legs[len(rw.legs)-1].to
-}
-
-// Highway builds a long straight drive at highway speed across a region,
-// entering on the left edge and exiting on the right (the paper's
-// "highways in between" runs at 90–120 km/h).
-func Highway(region geo.Rect, speedKmh float64) *Route {
-	y := region.Center().Y
-	return NewRoute(speedKmh, geo.Pt(region.Min.X, y), geo.Pt(region.Max.X, y))
-}
-
-// CityLoop builds a rectangular loop around the region interior at local
-// driving speed (<50 km/h), approximating a city drive test.
-func CityLoop(region geo.Rect, speedKmh float64) *Route {
-	inset := math.Min(region.Width(), region.Height()) * 0.2
-	a := geo.Pt(region.Min.X+inset, region.Min.Y+inset)
-	b := geo.Pt(region.Max.X-inset, region.Min.Y+inset)
-	c := geo.Pt(region.Max.X-inset, region.Max.Y-inset)
-	d := geo.Pt(region.Min.X+inset, region.Max.Y-inset)
-	return NewRoute(speedKmh, a, b, c, d, a)
 }

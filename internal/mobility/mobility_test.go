@@ -100,75 +100,6 @@ func TestRouteContinuity(t *testing.T) {
 	}
 }
 
-func TestRandomWaypointStaysInRegion(t *testing.T) {
-	region := geo.NewRect(geo.Pt(0, 0), geo.Pt(2000, 1500))
-	rw := NewRandomWaypoint(42, region, 5, 50, 2000, 600000)
-	for ts := int64(0); ts < 600000; ts += 997 {
-		p := rw.At(ts)
-		if !region.Contains(p) {
-			t.Fatalf("position %v at %dms outside region", p, ts)
-		}
-	}
-}
-
-func TestRandomWaypointDeterministic(t *testing.T) {
-	region := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
-	a := NewRandomWaypoint(7, region, 10, 30, 1000, 120000)
-	b := NewRandomWaypoint(7, region, 10, 30, 1000, 120000)
-	for ts := int64(0); ts < 120000; ts += 13337 {
-		if a.At(ts) != b.At(ts) {
-			t.Fatal("same seed must give same trajectory")
-		}
-	}
-	c := NewRandomWaypoint(8, region, 10, 30, 1000, 120000)
-	diff := false
-	for ts := int64(0); ts < 120000; ts += 13337 {
-		if a.At(ts) != c.At(ts) {
-			diff = true
-		}
-	}
-	if !diff {
-		t.Error("different seeds should differ")
-	}
-}
-
-func TestRandomWaypointMoves(t *testing.T) {
-	region := geo.NewRect(geo.Pt(0, 0), geo.Pt(5000, 5000))
-	rw := NewRandomWaypoint(3, region, 20, 40, 0, 300000)
-	moved := 0.0
-	prev := rw.At(0)
-	for ts := int64(1000); ts <= 300000; ts += 1000 {
-		cur := rw.At(ts)
-		moved += prev.Dist(cur)
-		prev = cur
-	}
-	if moved < 1000 {
-		t.Errorf("moved only %.0f m in 5 min", moved)
-	}
-}
-
-func TestHighwayAndCityLoop(t *testing.T) {
-	region := geo.NewRect(geo.Pt(0, 0), geo.Pt(10000, 5000))
-	hw := Highway(region, 110)
-	if hw.At(0).X != 0 || math.Abs(hw.At(hw.Duration()+1000).X-10000) > 0.1 {
-		t.Errorf("highway endpoints: %v .. %v", hw.At(0), hw.At(hw.Duration()))
-	}
-	// Speed check: 110 km/h ≈ 30.6 m/s.
-	p1, p2 := hw.At(0), hw.At(10000)
-	if v := p1.Dist(p2) / 10; math.Abs(v-KmhToMps(110)) > 0.1 {
-		t.Errorf("highway speed = %v m/s", v)
-	}
-	loop := CityLoop(region, 40)
-	if loop.At(0) != loop.At(loop.Duration()) {
-		t.Error("city loop should return to start")
-	}
-	for ts := int64(0); ts <= loop.Duration(); ts += 5000 {
-		if !region.Contains(loop.At(ts)) {
-			t.Fatalf("loop left region at %dms", ts)
-		}
-	}
-}
-
 func TestRouteMonotoneProgress(t *testing.T) {
 	r := NewRoute(72, geo.Pt(0, 0), geo.Pt(1000, 0))
 	f := func(a, b uint16) bool {

@@ -66,13 +66,12 @@ type Daemon struct {
 // Restore first to resume a prior periodic checkpoint.
 func NewDaemon(cfg Config) *Daemon {
 	cfg = cfg.withDefaults()
-	stopping := make(chan struct{})
 	d := &Daemon{
 		cfg:      cfg,
-		p:        newPipeline(cfg, stopping),
+		p:        newPipeline(cfg),
 		reg:      map[streamKey]*streamState{},
 		conns:    map[net.Conn]struct{}{},
-		stopping: stopping,
+		stopping: make(chan struct{}),
 		started:  time.Now(),
 	}
 	if d.ckptEnabled() {
@@ -171,9 +170,7 @@ func (d *Daemon) Restore() (int, error) {
 		if rs.Parser != nil {
 			r.Resume = rs.Parser
 			r.Stats = rs.Parser.Stats
-			rstate := &routedState{seq: rs.Seq, parser: rs.Parser}
-			st.restore.Store(rstate)
-			st.lastRouted.Store(rstate)
+			st.restore.Store(&routedState{seq: rs.Seq, parser: rs.Parser})
 		}
 		d.p.agg.seed(st, r)
 	}
@@ -338,7 +335,7 @@ func (d *Daemon) handle(conn net.Conn) {
 				// Clean end of stream: tell extract to flush and seal it,
 				// then hold the connection open so the checkpointer can
 				// deliver the durable ack a waiting feeder needs.
-				if d.p.send(item{st: st, kind: itemEnd, seq: st.inSeq.Load(), epoch: st.epoch.Load()}) {
+				if d.p.send(item{st: st, kind: itemEnd, seq: st.inSeq.Load()}) {
 					d.holdForAck(conn)
 				}
 			} else {
@@ -350,15 +347,15 @@ func (d *Daemon) handle(conn net.Conn) {
 			return
 		}
 		if st.poisoned.Load() {
-			// Poisoned streams are shed at intake; cut the connection so
-			// the feeder reconnects and replays once the supervisor has
-			// rewound the stream.
+			// Poisoned streams are shed at intake; cut the connection.
+			// The feeder's reconnects find the resume ack stuck and give
+			// up on its no-progress guard.
 			st.shed.Add(1)
 			st.disconnects.Add(1)
 			return
 		}
 		seq := st.inSeq.Add(1)
-		if !d.p.send(item{st: st, kind: itemRecord, rec: rec, seq: seq, epoch: st.epoch.Load()}) {
+		if !d.p.send(item{st: st, kind: itemRecord, rec: rec, seq: seq}) {
 			return // pipeline torn down
 		}
 	}
@@ -429,11 +426,9 @@ func (d *Daemon) shutdown(ctx context.Context) (*Checkpoint, error) {
 		d.connWG.Wait()
 	}
 
-	// The periodic checkpointer and any pending supervisor restarts see
-	// d.stopping closed; wait them out before draining the stages so no
-	// goroutine mutates stream or aggregator state mid-flush.
+	// The periodic checkpointer sees d.stopping closed; wait it out
+	// before draining the stages so it cannot write mid-flush.
 	d.ckptWG.Wait()
-	d.p.restartWG.Wait()
 
 	// Flush stage by stage: close the shard queues, let extract drain
 	// and flush every open parser, then close the aggregate queue.

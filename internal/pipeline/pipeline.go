@@ -17,7 +17,7 @@ import (
 type Hooks struct {
 	// PanicRecord, when non-nil, is consulted for every record entering
 	// the extract stage; returning true panics that stream's extraction
-	// — the supervisor must contain the blast to the one stream.
+	// — the daemon must contain the blast to the one stream.
 	PanicRecord func(carrier, stream string, rec sib.DiagRecord) bool
 	// AggregateDelay stalls the aggregate stage per update.
 	AggregateDelay time.Duration
@@ -50,17 +50,6 @@ type Config struct {
 	// ack for the covered records. 0 (the default) keeps the historical
 	// drain-only behavior.
 	CheckpointEvery time.Duration
-	// RestartBackoff is the supervisor's initial delay before lifting a
-	// poisoned stream's quarantine-of-one and rewinding it to its last
-	// routed state; it doubles per consecutive poison up to RestartMax.
-	// Defaults 100ms / 5s.
-	RestartBackoff time.Duration
-	RestartMax     time.Duration
-	// BreakerFails poisons within BreakerWindow trip the circuit
-	// breaker: the stream is quarantined permanently (reported on the
-	// control socket) instead of being restarted again. Defaults 3 / 1m.
-	BreakerFails  int
-	BreakerWindow time.Duration
 	// Hooks inject faults for tests.
 	Hooks Hooks
 }
@@ -80,18 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
-	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 100 * time.Millisecond
-	}
-	if c.RestartMax <= 0 {
-		c.RestartMax = 5 * time.Second
-	}
-	if c.BreakerFails <= 0 {
-		c.BreakerFails = 3
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = time.Minute
 	}
 	return c
 }
@@ -130,28 +107,19 @@ type streamState struct {
 	// inSeq is the intake high-water mark: how many of the stream's
 	// records this daemon owns — scanned off the wire into the pipeline,
 	// or restored from a checkpoint. It is the resume point sent as the
-	// first ack of every connection, and it is rewound by the supervisor
-	// when a poisoned stream restarts.
+	// first ack of every connection.
 	inSeq atomic.Uint64
-	// epoch fences the shard queue across supervisor restarts: items
-	// carry the epoch they were admitted under, and the extract stage
-	// drops items from an older epoch (their records are re-requested
-	// from the feeder after the rewind).
-	epoch atomic.Uint64
 	// durable is the record count covered by the last written checkpoint.
 	durable atomic.Uint64
 
-	// lastRouted is the most recent (seq, parser state) the extract stage
-	// handed to the aggregator — what a supervisor restart rewinds to.
 	// restore, when non-nil, is consumed once by the extract stage to
-	// prime the stream's next parser (set on daemon restore and on
-	// supervisor restart). Both hold immutable values.
-	lastRouted atomic.Pointer[routedState]
-	restore    atomic.Pointer[routedState]
+	// prime the stream's parser from a restored checkpoint. It holds an
+	// immutable value.
+	restore atomic.Pointer[routedState]
 
 	// ackMu serializes ack writes to the stream's live connection: the
 	// handler's initial resume ack, the checkpointer's durable acks, and
-	// the supervisor's kick on poison.
+	// the kick on poison.
 	ackMu   sync.Mutex
 	ackConn net.Conn
 
@@ -163,16 +131,9 @@ type streamState struct {
 	disconnects atomic.Int64
 	conns       atomic.Int64
 	shed        atomic.Int64 // records discarded at intake while poisoned
-	restarts    atomic.Int64 // supervisor restarts granted
 
-	poisoned    atomic.Bool
-	quarantined atomic.Bool
-
-	// Circuit-breaker state: recent poison times and the current restart
-	// backoff.
-	failMu   sync.Mutex
-	failures []time.Time
-	backoff  time.Duration
+	// poisoned is set, for good, by a panic in the stream's extraction.
+	poisoned atomic.Bool
 }
 
 // routedState is a parse position: a record count and the parser's
@@ -220,7 +181,7 @@ func (st *streamState) ackDurable(seq uint64) {
 }
 
 // kick closes the stream's live connection (used at poison time so the
-// feeder reconnects and replays instead of streaming into a void).
+// feeder stops streaming into a void).
 func (st *streamState) kick() {
 	st.ackMu.Lock()
 	if st.ackConn != nil {
@@ -299,14 +260,12 @@ const (
 )
 
 // item is one unit on a decode→extract shard queue. seq is the record's
-// 1-based position in the stream; epoch is the stream epoch it was
-// admitted under (stale epochs are dropped by the extract stage).
+// 1-based position in the stream.
 type item struct {
-	st    *streamState
-	kind  itemKind
-	rec   sib.DiagRecord
-	seq   uint64
-	epoch uint64
+	st   *streamState
+	kind itemKind
+	rec  sib.DiagRecord
+	seq  uint64
 }
 
 // update is one unit on the route→aggregate queue. Stats is a cumulative
@@ -338,24 +297,16 @@ type pipeline struct {
 	aborted   chan struct{}
 	abortOnce sync.Once
 
-	// stop mirrors the daemon's stopping channel so supervisor restart
-	// goroutines can bail out of their backoff sleep at shutdown;
-	// restartWG tracks them.
-	stop      chan struct{}
-	restartWG sync.WaitGroup
-
-	panics      atomic.Int64
-	quarantines atomic.Int64
+	panics atomic.Int64
 }
 
-func newPipeline(cfg Config, stop chan struct{}) *pipeline {
+func newPipeline(cfg Config) *pipeline {
 	p := &pipeline{
 		cfg:     cfg,
 		shards:  make([]chan item, cfg.ExtractWorkers),
 		aggCh:   make(chan update, cfg.AggregateQueue),
 		agg:     newAggregator(),
 		aborted: make(chan struct{}),
-		stop:    stop,
 	}
 	for i := range p.shards {
 		p.shards[i] = make(chan item, cfg.ShardQueue)
@@ -392,17 +343,15 @@ type extractState struct {
 // extract is one extract-stage worker: it owns the StreamParser of every
 // stream sharded onto it, so records of a stream are always parsed in
 // arrival order by a single goroutine. A panic while parsing — a
-// poisoned record, a bug tickled by hostile bytes — is contained by the
-// supervisor below: the stream is marked poisoned and dropped, the
-// worker and every other stream keep running, and the supervisor later
-// rewinds and restarts the stream (or quarantines it if the breaker
-// trips).
+// poisoned record, a bug tickled by hostile bytes — is contained: the
+// stream is poisoned and dropped, and the worker and every other stream
+// keep running.
 func (p *pipeline) extract(w int) {
 	defer p.extractWG.Done()
 	parsers := map[*streamState]*extractState{}
 	for it := range p.shards[w] {
 		st := it.st
-		if st.poisoned.Load() || it.epoch != st.epoch.Load() {
+		if st.poisoned.Load() {
 			continue
 		}
 		es := parsers[st]
@@ -435,8 +384,7 @@ func (p *pipeline) extract(w int) {
 }
 
 // newExtractState builds the stream's parser, primed from a pending
-// restore position when one exists (daemon restore, supervisor restart)
-// and fresh otherwise.
+// restore position when the daemon restored one and fresh otherwise.
 func newExtractState(st *streamState) *extractState {
 	if rs := st.restore.Swap(nil); rs != nil {
 		if rs.parser != nil {
@@ -447,8 +395,8 @@ func newExtractState(st *streamState) *extractState {
 	return &extractState{sp: crawler.NewStreamParser()}
 }
 
-// feedSupervised runs one record through the parser under a supervisor;
-// false means the stream just got poisoned.
+// feedSupervised runs one record through the parser, recovering a
+// panic; false means the stream just got poisoned.
 func (p *pipeline) feedSupervised(st *streamState, sp *crawler.StreamParser, rec sib.DiagRecord) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -464,72 +412,15 @@ func (p *pipeline) feedSupervised(st *streamState, sp *crawler.StreamParser, rec
 	return true
 }
 
-// poison marks the stream dead and kicks its live connection so the
-// feeder reconnects (and replays) instead of streaming into a void. Then
-// the circuit breaker decides: too many poisons inside the window and
-// the stream is quarantined for good; otherwise a supervised restart is
-// scheduled after an exponential backoff.
+// poison marks the stream dead for good and kicks its live connection,
+// so the feeder stops streaming into a void: its reconnects are shed at
+// intake and never make progress. There is no restart, because
+// extraction is a pure function of the parser state and the record
+// bytes: a rewind would replay the same records into the same state and
+// fire the same panic.
 func (p *pipeline) poison(st *streamState) {
 	st.poisoned.Store(true)
 	st.kick()
-
-	now := time.Now()
-	st.failMu.Lock()
-	st.failures = append(st.failures, now)
-	for len(st.failures) > 0 && now.Sub(st.failures[0]) > p.cfg.BreakerWindow {
-		st.failures = st.failures[1:]
-	}
-	trip := len(st.failures) >= p.cfg.BreakerFails
-	if st.backoff <= 0 {
-		st.backoff = p.cfg.RestartBackoff
-	} else if st.backoff < p.cfg.RestartMax {
-		st.backoff *= 2
-		if st.backoff > p.cfg.RestartMax {
-			st.backoff = p.cfg.RestartMax
-		}
-	}
-	backoff := st.backoff
-	st.failMu.Unlock()
-
-	if trip {
-		st.quarantined.Store(true)
-		p.quarantines.Add(1)
-		return
-	}
-	p.restartWG.Add(1)
-	go p.restartStream(st, backoff)
-}
-
-// restartStream waits out the backoff, then rewinds the stream to its
-// last routed position and lifts the poison: the next parser is primed
-// from exactly the state the aggregator holds, the intake high-water
-// mark drops to match, and the feeder — kicked at poison time — replays
-// the gap on its next connection. A transient panic therefore costs only
-// latency; a deterministic one re-fires on the same record and walks the
-// breaker to quarantine.
-func (p *pipeline) restartStream(st *streamState, backoff time.Duration) {
-	defer p.restartWG.Done()
-	select {
-	case <-time.After(backoff):
-	case <-p.stop:
-		return
-	}
-	st.turnMu.Lock()
-	for st.active {
-		st.turnCond.Wait()
-	}
-	lr := st.lastRouted.Load()
-	var seq uint64
-	if lr != nil {
-		seq = lr.seq
-	}
-	st.restore.Store(lr)
-	st.inSeq.Store(seq)
-	st.records.Store(int64(seq))
-	st.epoch.Add(1)
-	st.restarts.Add(1)
-	st.poisoned.Store(false)
-	st.turnMu.Unlock()
 }
 
 // route is the route stage: it takes what the parser completed since the
@@ -547,7 +438,6 @@ func (p *pipeline) route(st *streamState, es *extractState, end bool) {
 		r := sp.Resume()
 		u.resume = &r
 	}
-	st.lastRouted.Store(&routedState{seq: es.seq, parser: u.resume})
 	select {
 	case p.aggCh <- u:
 	case <-p.aborted:

@@ -27,7 +27,7 @@ type Status struct {
 	SeqViolations int64 `json:"seqViolations"`
 	// Crash-safety counters: periodic checkpoints written (and failed),
 	// the wall-clock of the last one (unix ms, 0 if none yet), and the
-	// number of streams the circuit breaker has quarantined.
+	// number of streams quarantined (poisoned for good) by a panic.
 	Checkpoints      int64          `json:"checkpoints"`
 	CheckpointErrs   int64          `json:"checkpointErrs,omitempty"`
 	LastCheckpointMs int64          `json:"lastCheckpointMs,omitempty"`
@@ -66,12 +66,9 @@ type StreamStatus struct {
 	Complete bool  `json:"complete"`
 	Poisoned bool  `json:"poisoned"`
 	// Crash-safety counters: records discarded at intake while the
-	// stream was poisoned, supervisor restarts granted, whether the
-	// circuit breaker quarantined the stream, and the stream's intake
-	// vs durably-checkpointed record high-water marks.
+	// stream was poisoned, and the stream's intake vs
+	// durably-checkpointed record high-water marks.
 	ShedRecords int64  `json:"shedRecords"`
-	Restarts    int64  `json:"restarts"`
-	Quarantined bool   `json:"quarantined"`
 	IntakeSeq   uint64 `json:"intakeSeq"`
 	DurableSeq  uint64 `json:"durableSeq"`
 }
@@ -89,7 +86,6 @@ func (d *Daemon) Status() Status {
 		Checkpoints:      d.ckptCount.Load(),
 		CheckpointErrs:   d.ckptErrs.Load(),
 		LastCheckpointMs: d.lastCkptMs.Load(),
-		Quarantined:      d.p.quarantines.Load(),
 		Queues:           QueueStatus{Shards: shards, ShardCap: d.cfg.ShardQueue, Aggregate: agg, AggregateCap: d.cfg.AggregateQueue},
 	}
 	d.connMu.Lock()
@@ -120,8 +116,6 @@ func (d *Daemon) Status() Status {
 			SkippedBytes: st.skipped.Load(),
 			Poisoned:     st.poisoned.Load(),
 			ShedRecords:  st.shed.Load(),
-			Restarts:     st.restarts.Load(),
-			Quarantined:  st.quarantined.Load(),
 			IntakeSeq:    st.inSeq.Load(),
 			DurableSeq:   st.durable.Load(),
 		}
@@ -132,6 +126,9 @@ func (d *Daemon) Status() Status {
 			ss.Events = len(r.Events)
 			ss.Complete = r.Complete
 		}
+		if ss.Poisoned {
+			s.Quarantined++
+		}
 		s.Streams = append(s.Streams, ss)
 	}
 	return s
@@ -139,7 +136,7 @@ func (d *Daemon) Status() Status {
 
 // Summary renders the one-line operator view.
 func (s Status) Summary() string {
-	var records, resyncs, skipped, bad, snaps, events, shed, restarts int64
+	var records, resyncs, skipped, bad, snaps, events, shed int64
 	complete := 0
 	for _, st := range s.Streams {
 		records += st.Records
@@ -149,7 +146,6 @@ func (s Status) Summary() string {
 		snaps += int64(st.Snapshots)
 		events += int64(st.Events)
 		shed += st.ShedRecords
-		restarts += st.Restarts
 		if st.Complete {
 			complete++
 		}
@@ -159,10 +155,10 @@ func (s Status) Summary() string {
 		lastCkpt = time.UnixMilli(s.LastCheckpointMs).UTC().Format(time.RFC3339)
 	}
 	return fmt.Sprintf(
-		"streams=%d complete=%d conns=%d records=%d snapshots=%d events=%d resyncs=%d skipped_bytes=%d bad=%d drops=%d panics=%d shed=%d restarts=%d quarantined=%d checkpoints=%d last_checkpoint=%s",
+		"streams=%d complete=%d conns=%d records=%d snapshots=%d events=%d resyncs=%d skipped_bytes=%d bad=%d drops=%d panics=%d shed=%d quarantined=%d checkpoints=%d last_checkpoint=%s",
 		len(s.Streams), complete, s.ActiveConns, records, snaps, events,
 		resyncs, skipped, bad, s.Drops, s.Panics+s.ConnPanics,
-		shed, restarts, s.Quarantined, s.Checkpoints, lastCkpt)
+		shed, s.Quarantined, s.Checkpoints, lastCkpt)
 }
 
 // maxControlRequest bounds a control request in bytes. The only request

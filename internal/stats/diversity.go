@@ -96,18 +96,6 @@ func CoefficientOfVariation(xs []float64) float64 {
 	return math.Abs(math.Sqrt(Variance(xs)) / m)
 }
 
-// ExpandCounts reconstructs a raw sample slice from a tally, in sorted value
-// order. Useful for feeding count data to sample-based statistics.
-func ExpandCounts(c Counts) []float64 {
-	xs := make([]float64, 0, c.Total())
-	for _, v := range c.Values() {
-		for i := 0; i < c[v]; i++ {
-			xs = append(xs, v)
-		}
-	}
-	return xs
-}
-
 // Diversity bundles the three diversity measures the paper reports per
 // parameter (Fig. 16): Simpson index (distribution), coefficient of
 // variation (dispersion), and richness (# distinct values).

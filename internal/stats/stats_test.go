@@ -164,17 +164,6 @@ func TestDominantEmpty(t *testing.T) {
 	}
 }
 
-func TestExpandCountsRoundTrip(t *testing.T) {
-	orig := []float64{1, 1, 2, 5, 5, 5}
-	got := ExpandCounts(CountValues(orig))
-	if len(got) != len(orig) {
-		t.Fatalf("len = %d, want %d", len(got), len(orig))
-	}
-	if SimpsonIndexOf(got) != SimpsonIndexOf(orig) {
-		t.Error("round trip changed Simpson index")
-	}
-}
-
 func TestDiversityOf(t *testing.T) {
 	d := DiversityOf([]float64{4, 4, 4})
 	if d.Simpson != 0 || d.Cv != 0 || d.Richness != 1 {
@@ -228,20 +217,6 @@ func TestCDF(t *testing.T) {
 	}
 	if !math.IsNaN(NewCDF(nil).At(1)) {
 		t.Error("empty CDF should be NaN")
-	}
-}
-
-func TestCDFSeries(t *testing.T) {
-	c := NewCDF([]float64{0, 10})
-	s := c.Series(11)
-	if len(s) != 11 {
-		t.Fatalf("series len = %d", len(s))
-	}
-	if s[0].X != 0 || s[10].X != 10 || s[10].P != 1 {
-		t.Errorf("series endpoints = %+v %+v", s[0], s[10])
-	}
-	if c.Series(1) != nil || NewCDF(nil).Series(5) != nil {
-		t.Error("degenerate Series should be nil")
 	}
 }
 
@@ -299,42 +274,6 @@ func TestBoxplotEmpty(t *testing.T) {
 	b := NewBoxplot(nil)
 	if b.N != 0 || !math.IsNaN(b.Median) {
 		t.Errorf("empty boxplot = %+v", b)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 9.99, 10, -1, 11}, 0, 10, 5)
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("Under=%d Over=%d", h.Under, h.Over)
-	}
-	sum := 0
-	for _, b := range h.Bins {
-		sum += b
-	}
-	if sum != 8 {
-		t.Errorf("in-range count = %d, want 8", sum)
-	}
-	// top edge inclusive: 10 goes in last bin
-	if h.Bins[4] < 2 {
-		t.Errorf("last bin = %d, want >= 2 (9.99 and 10)", h.Bins[4])
-	}
-	fr := h.Fractions()
-	total := 0.0
-	for _, f := range fr {
-		total += f
-	}
-	if !almostEq(total, 1, 1e-12) {
-		t.Errorf("fractions sum = %v", total)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram([]float64{1, 2}, 5, 5, 3)
-	if len(h.Bins) != 0 {
-		t.Error("degenerate range should have no bins")
-	}
-	if fr := NewHistogram(nil, 0, 1, 2).Fractions(); fr[0] != 0 || fr[1] != 0 {
-		t.Error("empty histogram fractions should be zero")
 	}
 }
 

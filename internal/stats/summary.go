@@ -47,22 +47,6 @@ func (c *CDF) Inverse(p float64) float64 {
 	return c.sorted[i]
 }
 
-// Series samples the CDF at n evenly spaced points across the data range,
-// producing the (x, P) pairs a figure plots. For n < 2 or an empty sample
-// it returns nil.
-func (c *CDF) Series(n int) [](struct{ X, P float64 }) {
-	if len(c.sorted) == 0 || n < 2 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	out := make([]struct{ X, P float64 }, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		out[i] = struct{ X, P float64 }{x, c.At(x)}
-	}
-	return out
-}
-
 // Boxplot summarizes a sample the way the paper's boxplot figures do
 // (Figs. 9, 21, 22): quartiles plus whiskers at the most extreme data
 // points within 1.5 IQR of the box.
@@ -112,55 +96,6 @@ func NewBoxplot(xs []float64) Boxplot {
 // String renders the five-number summary.
 func (b Boxplot) String() string {
 	return fmt.Sprintf("n=%d [%.2f | %.2f %.2f %.2f | %.2f]", b.N, b.Min, b.Q1, b.Median, b.Q3, b.Max)
-}
-
-// Histogram bins a sample into equal-width bins across [lo, hi].
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	Under  int // samples below Lo
-	Over   int // samples above Hi
-}
-
-// NewHistogram builds a histogram with nbins equal-width bins over [lo,hi).
-// The top edge is inclusive so hi itself lands in the last bin.
-func NewHistogram(xs []float64, lo, hi float64, nbins int) *Histogram {
-	if nbins < 1 || hi <= lo {
-		return &Histogram{Lo: lo, Hi: hi}
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Bins: make([]int, nbins)}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x > hi:
-			h.Over++
-		default:
-			i := int((x - lo) / w)
-			if i >= nbins {
-				i = nbins - 1
-			}
-			h.Bins[i]++
-		}
-	}
-	return h
-}
-
-// Fractions returns each bin's share of all in-range samples.
-func (h *Histogram) Fractions() []float64 {
-	total := 0
-	for _, b := range h.Bins {
-		total += b
-	}
-	out := make([]float64, len(h.Bins))
-	if total == 0 {
-		return out
-	}
-	for i, b := range h.Bins {
-		out[i] = float64(b) / float64(total)
-	}
-	return out
 }
 
 // Distribution is a discrete value→share table, sorted by value — the form
