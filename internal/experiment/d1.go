@@ -197,9 +197,15 @@ func d1Campaigns(opts D1Options) ([]*d1Campaign, int, error) {
 		if quotaI < 10 {
 			quotaI = 10
 		}
+		// Common random numbers: every carrier's active campaign shares
+		// one seed, and every idle campaign another. Run r of each
+		// carrier drives the same route with the same world and UE
+		// seeds: where the carriers' channel layers line up, the same
+		// cell IDs sit on the same sites with the same shadow fields and
+		// loads. The carriers differ in their channels and configurations.
 		camps = append(camps,
-			&d1Campaign{gen: gen, acr: acr, quota: quotaA, active: true, seed: opts.Seed + int64(len(acr))},
-			&d1Campaign{gen: gen, acr: acr, quota: quotaI, active: false, seed: opts.Seed + 1000 + int64(len(acr))})
+			&d1Campaign{gen: gen, acr: acr, quota: quotaA, active: true, seed: opts.Seed + 1},
+			&d1Campaign{gen: gen, acr: acr, quota: quotaI, active: false, seed: opts.Seed + 1001})
 		total += quotaA + quotaI
 	}
 	return camps, total, nil

@@ -229,7 +229,7 @@ type ue struct {
 	// Hot-path scratch, reused every measurement round so steady-state
 	// rounds allocate nothing.
 	probe *Probe
-	chPow map[chKey]float64
+	chPow []float64 // co-channel power per World channel index
 	neigh []core.RawMeas
 
 	res *DriveResult
@@ -265,7 +265,7 @@ func RunDrive(w *World, move mobility.Model, durMs int64, opts UEOpts) *DriveRes
 		inj:    opts.Injector,
 		fading: make(map[uint32]*radio.FastFading),
 		probe:  w.NewProbe(),
-		chPow:  make(map[chKey]float64),
+		chPow:  make([]float64, w.channels),
 		res:    &DriveResult{Reports: make(map[config.EventType]int)},
 	}
 	if opts.Active && (opts.Injector != nil || opts.RLF != nil) {
@@ -334,12 +334,6 @@ func (u *ue) fadingFor(id uint32) *radio.FastFading {
 	return f
 }
 
-// chKey identifies a carrier frequency for interference accounting.
-type chKey struct {
-	earfcn uint32
-	rat    config.RAT
-}
-
 // ueNoiseMw is the thermal noise per resource element at a 7 dB UE noise
 // figure.
 var ueNoiseMw = radio.NoisePerREMw(7)
@@ -398,8 +392,7 @@ func (u *ue) round(t core.Clock, move mobility.Model) {
 	clear(u.chPow)
 	servingRSRP := units.Dbm(math.NaN())
 	for _, a := range audible {
-		k := chKey{a.Cell.Site.Identity.EARFCN, a.Cell.Site.Identity.RAT}
-		u.chPow[k] += a.Cell.Load * radio.DBmToMw(a.RSRP.V())
+		u.chPow[a.Cell.ch] += a.Cell.Load * radio.DBmToMw(a.RSRP.V())
 		if a.Cell == u.serving {
 			servingRSRP = a.RSRP
 		}
@@ -407,12 +400,10 @@ func (u *ue) round(t core.Clock, move mobility.Model) {
 	if math.IsNaN(servingRSRP.V()) {
 		// Serving cell out of measurement range: it still transmits.
 		servingRSRP = u.w.RSRPAt(u.serving, pos)
-		k := chKey{u.serving.Site.Identity.EARFCN, u.serving.Site.Identity.RAT}
-		u.chPow[k] += u.serving.Load * radio.DBmToMw(servingRSRP.V())
+		u.chPow[u.serving.ch] += u.serving.Load * radio.DBmToMw(servingRSRP.V())
 	}
 	intfFor := func(c *Cell, det units.Dbm) float64 {
-		k := chKey{c.Site.Identity.EARFCN, c.Site.Identity.RAT}
-		intf := u.chPow[k] - c.Load*radio.DBmToMw(det.V())
+		intf := u.chPow[c.ch] - c.Load*radio.DBmToMw(det.V())
 		if intf < 0 {
 			intf = 0
 		}

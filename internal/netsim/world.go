@@ -25,6 +25,9 @@ type Cell struct {
 	FreqMHz units.MegaHz
 	Shadow  *radio.ShadowField
 	Load    float64 // downlink activity factor in [0,1]
+	// ch indexes the cell's (EARFCN, RAT) channel among the world's
+	// channels, for per-channel interference sums.
+	ch int
 }
 
 // World is a drive-test arena: one carrier's cells in one region.
@@ -38,6 +41,9 @@ type World struct {
 	Seed     int64
 	Epoch    int
 
+	// channels is the number of distinct (EARFCN, RAT) channels; every
+	// Cell.ch is below it.
+	channels      int
 	measureRadius float64
 	// index answers every audibility query. Immutable after BuildWorld, so
 	// concurrent drive runs can share it.
@@ -134,8 +140,14 @@ func BuildWorld(gen *carrier.Generator, region geo.Rect, opts WorldOpts) *World 
 		}
 	}
 
+	chans := map[layer]int{}
 	id := uint32(1)
 	for li, ly := range layers {
+		ch, ok := chans[ly]
+		if !ok {
+			ch = len(chans)
+			chans[ly] = ch
+		}
 		off := geo.Pt(float64(li)*opts.ISD/3.1, float64(li)*opts.ISD/4.7)
 		for _, p := range geo.HexLattice(region, opts.ISD, off) {
 			site := carrier.CellSite{
@@ -157,12 +169,14 @@ func BuildWorld(gen *carrier.Generator, region geo.Rect, opts WorldOpts) *World 
 					opts.Seed^int64(uint64(id)*0x9E3779B97F4A7C15),
 					opts.ShadowSigmaDB, opts.ShadowCorrDist),
 				Load: 0.2 + 0.6*hashFrac(opts.Seed, id),
+				ch:   ch,
 			}
 			w.Cells = append(w.Cells, cell)
 			w.byID[id] = cell
 			id++
 		}
 	}
+	w.channels = len(chans)
 	w.measureRadius = opts.MeasureRadius
 	pos := make([]geo.Point, len(w.Cells))
 	for i, c := range w.Cells {

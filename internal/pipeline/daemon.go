@@ -138,8 +138,10 @@ func (d *Daemon) CheckpointNow() error {
 // is set so resume acks point feeders at the right record, and pending
 // parser state is staged for the extract stage. It must run before any
 // listener is attached. A missing checkpoint, or one without a resume
-// section (a sealed drain artifact), restores nothing. Returns the
-// number of streams restored.
+// section (a sealed drain artifact), restores nothing. A resume section
+// that names a stream twice is refused whole: CheckpointNow writes one
+// entry per registered stream, so a duplicate means a damaged file.
+// Returns the number of streams restored.
 func (d *Daemon) Restore() (int, error) {
 	if d.cfg.CheckpointDir == "" {
 		return 0, nil
@@ -150,6 +152,14 @@ func (d *Daemon) Restore() (int, error) {
 	}
 	if len(cp.Resume) == 0 {
 		return 0, nil
+	}
+	seen := make(map[streamKey]bool, len(cp.Resume))
+	for _, rs := range cp.Resume {
+		k := streamKey{carrier: rs.Carrier, stream: rs.Stream}
+		if seen[k] {
+			return 0, fmt.Errorf("pipeline: checkpoint resumes stream %s/%s twice", rs.Carrier, rs.Stream)
+		}
+		seen[k] = true
 	}
 	data := map[streamKey]*StreamCheckpoint{}
 	for i := range cp.Streams {

@@ -62,9 +62,11 @@ func FuzzFrame(f *testing.F) {
 }
 
 // FuzzRestore writes arbitrary bytes as checkpoint.json and brings a
-// daemon up over them: Restore must never panic, and on error it must
-// restore nothing (never half a checkpoint). Shutdown then drains and
-// rewrites whatever was restored, which must not panic either.
+// daemon up over them: Restore must never panic, on error it must
+// restore nothing (never half a checkpoint), and on success it must
+// report exactly the streams it registered. The duplicated-entry seed
+// takes the error path. Shutdown then drains and rewrites whatever was
+// restored, which must not panic either.
 func FuzzRestore(f *testing.F) {
 	periodic := periodicCheckpoint(f)
 	f.Add(periodic)
@@ -94,7 +96,7 @@ func FuzzRestore(f *testing.F) {
 		if err != nil && streams != 0 {
 			t.Errorf("Restore failed (%v) but left %d streams behind", err, streams)
 		}
-		if err == nil && streams > n {
+		if err == nil && streams != n {
 			t.Errorf("Restore reported %d streams, status shows %d", n, streams)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
@@ -210,6 +211,38 @@ func TestRestoreIgnoresDrainedCheckpoint(t *testing.T) {
 		t.Fatalf("Restore() over a drained checkpoint = %d, %v; want 0, nil", n, err)
 	}
 	drain(t, d2)
+}
+
+// TestRestoreRejectsDuplicateResume: a checkpoint whose resume section
+// names a stream twice cannot come from CheckpointNow, which writes one
+// entry per registered stream. Restore refuses it whole and registers no
+// stream, instead of restoring one stream and reporting two.
+func TestRestoreRejectsDuplicateResume(t *testing.T) {
+	var cp pipeline.Checkpoint
+	if err := json.Unmarshal(periodicCheckpoint(t), &cp); err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Resume) != 1 {
+		t.Fatalf("setup: periodic checkpoint resumes %d streams, want 1", len(cp.Resume))
+	}
+	cp.Resume = append(cp.Resume, cp.Resume[0])
+	dir := t.TempDir()
+	if err := cp.WriteFile(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	d := pipeline.NewDaemon(pipeline.Config{CheckpointDir: dir})
+	n, err := d.Restore()
+	if err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("Restore() over a duplicated resume entry = %d, %v; want a duplicate error", n, err)
+	}
+	if n != 0 {
+		t.Errorf("Restore() reported %d streams with its error, want 0", n)
+	}
+	if got := len(d.Status().Streams); got != 0 {
+		t.Errorf("refused checkpoint left %d streams registered, want 0", got)
+	}
+	drain(t, d)
 }
 
 // TestPoisonIsFinal injects one extraction panic, at record 5: the

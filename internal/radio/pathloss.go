@@ -88,14 +88,15 @@ func (m COST231Hata) Loss(dist units.Meters, freqMHz units.MegaHz) units.Db {
 	if hm <= 0 {
 		hm = 1.5
 	}
+	lf, lhb := math.Log10(f), math.Log10(hb)
 	// Mobile antenna correction for medium cities.
-	a := (1.1*math.Log10(f)-0.7)*hm - (1.56*math.Log10(f) - 0.8)
+	a := (1.1*lf-0.7)*hm - (1.56*lf - 0.8)
 	c := 0.0
 	if m.Metropolitan {
 		c = 3
 	}
-	return units.Db(46.3 + 33.9*math.Log10(f) - 13.82*math.Log10(hb) - a +
-		(44.9-6.55*math.Log10(hb))*math.Log10(d/1000) + c)
+	return units.Db(46.3 + 33.9*lf - 13.82*lhb - a +
+		(44.9-6.55*lhb)*math.Log10(d/1000) + c)
 }
 
 // RSRPAt converts a link budget to RSRP: transmit reference-signal power

@@ -20,24 +20,21 @@ import (
 // no stored grid.
 type ShadowField struct {
 	sigma float64 // standard deviation in dB
-	kx    []float64
-	ky    []float64
-	phase []float64
+	kx    [nWaves]float64
+	ky    [nWaves]float64
+	phase [nWaves]float64
 	amp   float64
 }
+
+// nWaves is the number of plane waves in every ShadowField.
+const nWaves = 24
 
 // NewShadowField creates a field with the given dB standard deviation and
 // decorrelation distance in meters. Each cell gets its own field (seeded by
 // cell identity) so shadowing to different cells is independent.
 func NewShadowField(seed int64, sigmaDB, corrDist float64) *ShadowField {
-	const nWaves = 24
 	rng := rng.New(seed)
-	f := &ShadowField{
-		sigma: sigmaDB,
-		kx:    make([]float64, nWaves),
-		ky:    make([]float64, nWaves),
-		phase: make([]float64, nWaves),
-	}
+	f := &ShadowField{sigma: sigmaDB}
 	if corrDist <= 0 {
 		corrDist = 50
 	}
@@ -60,7 +57,7 @@ func NewShadowField(seed int64, sigmaDB, corrDist float64) *ShadowField {
 func (f *ShadowField) At(x, y float64) units.Db {
 	s := 0.0
 	for i := range f.kx {
-		s += math.Cos(f.kx[i]*x + f.ky[i]*y + f.phase[i])
+		s += cos(f.kx[i]*x + f.ky[i]*y + f.phase[i])
 	}
 	return units.Db(s * f.amp)
 }
