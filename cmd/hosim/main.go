@@ -5,20 +5,18 @@
 //
 // Usage:
 //
-//	hosim [-scale 1.0] [-seed 7] [-workers N] [-fault.* ...] [-world.* ...] [-o d1.jsonl]
+//	hosim [-scale 1.0] [-seed 7] [-workers N] [-fault.* ...] [-o d1.jsonl]
 //
 // Scale 1.0 reproduces the paper's dataset size (14,510 active + 4,263
 // idle handoffs) and takes several minutes; use -scale 0.05 for a quick
 // run. The eight carrier×state campaigns share one pool of -workers
 // parallel drive workers (default: all CPUs), and a drive whose campaign
 // has already met its quota is skipped; the dataset is byte-identical
-// for every worker count. The
-// -fault.* flags (see internal/fault) inject signaling-plane faults into
-// the active drives; all-zero (the default) reproduces the historical
-// fault-free dataset exactly. The -world.* flags (see internal/netsim)
-// retune the drive-world geometry — -world.region-km grows the arena to
-// country scale and -world.isd/-world.radius adjust site density and
-// audibility.
+// for every worker count. The -fault.* flags (see internal/fault) inject
+// signaling-plane faults into the active drives; all-zero (the default)
+// reproduces the historical fault-free dataset exactly. Every drive world
+// uses the one radio model of internal/radio (COST-231 Hata path loss,
+// correlated shadowing) on the standard 7×4.5 km arena.
 // Ctrl-C cancels the campaign and removes the partial output file.
 package main
 
@@ -35,7 +33,6 @@ import (
 	"mmlab/internal/dataset"
 	"mmlab/internal/experiment"
 	"mmlab/internal/fault"
-	"mmlab/internal/netsim"
 )
 
 func main() {
@@ -49,13 +46,12 @@ func main() {
 		format  = flag.String("format", "jsonl", "output format: jsonl or csv")
 	)
 	rates := fault.RegisterFlags(flag.CommandLine)
-	world := netsim.RegisterWorldFlags(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	d1, err := experiment.BuildD1(ctx, experiment.D1Options{Scale: *scale, Seed: *seed, Workers: *workers, Faults: *rates, World: *world})
+	d1, err := experiment.BuildD1(ctx, experiment.D1Options{Scale: *scale, Seed: *seed, Workers: *workers, Faults: *rates})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			log.Fatal("interrupted; no output written")

@@ -41,8 +41,8 @@ type D1Options struct {
 	// disables injection and leaves the dataset byte-identical to a
 	// fault-free campaign.
 	Faults fault.Rates
-	// World tunes the drive-world geometry (site density, audibility
-	// radius, arena size). The zero value keeps the standard arena.
+	// World sizes the drive arena. The zero value keeps the standard
+	// arena.
 	World netsim.WorldTuning
 }
 
@@ -141,7 +141,6 @@ func driveRun(gen *carrier.Generator, acr string, cities []string, run int, acti
 	if !active {
 		wopts.IncludeNonLTE = true
 	}
-	tune.Apply(&wopts)
 	w := netsim.BuildWorld(gen, tune.Region(driveRegion), wopts)
 	lane := float64((run%5)-2) * 120
 	route := netsim.RowRoute(w, speedFor(run), lane)
@@ -283,15 +282,10 @@ func BuildD1(ctx context.Context, opts D1Options) (*dataset.D1, error) {
 	return d, nil
 }
 
-// carrierGen builds the generator for a carrier.
-func carrierGen(acr string) (*carrier.Generator, error) {
-	return carrier.NewGenerator(acr)
-}
-
 // worldFor builds a standard single-carrier sweep world (one LTE layer:
 // intra-frequency handoffs, the paper's Fig. 7 scenario).
 func worldFor(acr string, seed int64) (*netsim.World, error) {
-	gen, err := carrierGen(acr)
+	gen, err := carrier.NewGenerator(acr)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mmlab/internal/carrier"
 	"mmlab/internal/config"
 	"mmlab/internal/netsim"
 	"mmlab/internal/sim"
@@ -291,7 +292,7 @@ func AblateFilterK(ctx context.Context, seed int64, workers int) ([2]AblationRes
 // available (a best-RSRP policy would never do that). It uses a
 // multi-layer world so priority cases actually arise.
 func PriorityVsStrongest(seed int64) (weaker, total int, err error) {
-	gen, err := carrierGen("A")
+	gen, err := carrier.NewGenerator("A")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -315,7 +316,7 @@ func AblateSpeedScaling(ctx context.Context, seed int64, workers int) ([2]Ablati
 	variants := []bool{true, false}
 	return ablatePair(ctx, workers, func(i int) (AblationResult, error) {
 		enabled := variants[i]
-		gen, err := carrierGen("A")
+		gen, err := carrier.NewGenerator("A")
 		if err != nil {
 			return AblationResult{}, err
 		}

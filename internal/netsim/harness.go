@@ -1,12 +1,10 @@
 package netsim
 
 import (
-	"context"
 	"math"
 
 	"mmlab/internal/geo"
 	"mmlab/internal/mobility"
-	"mmlab/internal/sim"
 )
 
 // RowRoute builds a straight drive route that passes along a row of cell
@@ -28,81 +26,4 @@ func RowRoute(w *World, speedKmh float64, laneOffset float64) *mobility.Route {
 	return mobility.NewRoute(speedKmh,
 		geo.Pt(w.Region.Min.X+margin, y),
 		geo.Pt(w.Region.Max.X-margin, y))
-}
-
-// SweepResult aggregates handoff-quality numbers over several drives.
-type SweepResult struct {
-	Handoffs  int
-	MinThpts  []float64 // per-handoff min pre-report throughput (bps)
-	DeltaRSRP []float64 // per-handoff RSRP change (dB)
-	RSRPOld   []float64
-	RSRPNew   []float64
-}
-
-// add records one handoff.
-func (s *SweepResult) add(h HandoffRecord) {
-	s.Handoffs++
-	if h.MinThptBefore >= 0 {
-		s.MinThpts = append(s.MinThpts, h.MinThptBefore)
-	}
-	s.DeltaRSRP = append(s.DeltaRSRP, h.RSRPNew.Sub(h.RSRPOld).V())
-	s.RSRPOld = append(s.RSRPOld, h.RSRPOld.V())
-	s.RSRPNew = append(s.RSRPNew, h.RSRPNew.V())
-}
-
-// merge appends another run's statistics.
-func (s *SweepResult) merge(o SweepResult) {
-	s.Handoffs += o.Handoffs
-	s.MinThpts = append(s.MinThpts, o.MinThpts...)
-	s.DeltaRSRP = append(s.DeltaRSRP, o.DeltaRSRP...)
-	s.RSRPOld = append(s.RSRPOld, o.RSRPOld...)
-	s.RSRPNew = append(s.RSRPNew, o.RSRPNew...)
-}
-
-// SweepOpts sizes and seeds a sweep.
-type SweepOpts struct {
-	// Runs is how many drive runs the sweep performs.
-	Runs int
-	// BaseSeed seeds the whole sweep. Run i builds its world with
-	// sim.DeriveSeed(BaseSeed, 2i) and its UE with
-	// sim.DeriveSeed(BaseSeed, 2i+1), so per-run seeds stay attached to
-	// the run index and the sweep reproduces under any worker count.
-	BaseSeed int64
-	// Workers bounds the worker pool (<= 0: runtime.NumCPU()).
-	Workers int
-}
-
-// RunSweep performs drive runs with per-run derived seeds over the given
-// world builder and collects per-handoff statistics in run order; filter
-// (optional) selects which handoffs count. Output is byte-identical for
-// any SweepOpts.Workers value.
-func RunSweep(ctx context.Context, build func(seed int64) *World, move func(w *World) mobility.Model, opts SweepOpts, ue UEOpts, filter func(HandoffRecord) bool) (SweepResult, error) {
-	runs, err := sim.Run(ctx, sim.Options{Workers: opts.Workers}, opts.Runs,
-		func(_ context.Context, i int) (SweepResult, error) {
-			w := build(sim.DeriveSeed(opts.BaseSeed, 2*i))
-			o := ue
-			o.Seed = sim.DeriveSeed(opts.BaseSeed, 2*i+1)
-			m := move(w)
-			dur := int64(10 * 60 * 1000)
-			if r, ok := m.(*mobility.Route); ok {
-				dur = r.Duration()
-			}
-			res := RunDrive(w, m, dur, o)
-			var out SweepResult
-			for _, h := range res.Handoffs {
-				if filter != nil && !filter(h) {
-					continue
-				}
-				out.add(h)
-			}
-			return out, nil
-		})
-	if err != nil {
-		return SweepResult{}, err
-	}
-	var total SweepResult
-	for _, r := range runs {
-		total.merge(r)
-	}
-	return total, nil
 }

@@ -1,14 +1,9 @@
 package netsim
 
 import (
-	"context"
 	"math"
-	"reflect"
 	"testing"
 
-	"mmlab/internal/carrier"
-	"mmlab/internal/geo"
-	"mmlab/internal/mobility"
 	"mmlab/internal/traffic"
 	"mmlab/internal/units"
 )
@@ -34,71 +29,6 @@ func TestRowRoutePassesSites(t *testing.T) {
 	lane := RowRoute(w, 50, 120)
 	if math.Abs(lane.At(0).Y-y-120) > 1e-6 {
 		t.Errorf("lane offset not applied: %v vs %v", lane.At(0).Y, y)
-	}
-}
-
-func TestRunSweepAggregates(t *testing.T) {
-	g, err := carrier.NewGenerator("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := geo.NewRect(geo.Pt(0, 0), geo.Pt(5000, 3000))
-	build := func(seed int64) *World {
-		return BuildWorld(g, region, WorldOpts{Seed: seed, LTELayers: 1})
-	}
-	move := func(w *World) mobility.Model { return RowRoute(w, 50, 40) }
-	ctx := context.Background()
-	sweep, err := RunSweep(ctx, build, move, SweepOpts{Runs: 2, BaseSeed: 1000}, UEOpts{Active: true, App: traffic.Speedtest{}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sweep.Handoffs == 0 {
-		t.Fatal("sweep produced no handoffs")
-	}
-	if len(sweep.DeltaRSRP) != sweep.Handoffs ||
-		len(sweep.RSRPOld) != sweep.Handoffs || len(sweep.RSRPNew) != sweep.Handoffs {
-		t.Error("per-handoff slices inconsistent")
-	}
-	for i := range sweep.DeltaRSRP {
-		if math.Abs(sweep.RSRPNew[i]-sweep.RSRPOld[i]-sweep.DeltaRSRP[i]) > 1e-9 {
-			t.Fatal("DeltaRSRP inconsistent with Old/New")
-		}
-	}
-	if len(sweep.MinThpts) == 0 {
-		t.Error("no throughput records despite traffic app")
-	}
-	// A filter that rejects everything yields an empty sweep.
-	empty, err := RunSweep(ctx, build, move, SweepOpts{Runs: 1, BaseSeed: 1000}, UEOpts{Active: true}, func(HandoffRecord) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Handoffs != 0 {
-		t.Error("filter ignored")
-	}
-}
-
-func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
-	g, err := carrier.NewGenerator("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := geo.NewRect(geo.Pt(0, 0), geo.Pt(5000, 3000))
-	build := func(seed int64) *World {
-		return BuildWorld(g, region, WorldOpts{Seed: seed, LTELayers: 1})
-	}
-	move := func(w *World) mobility.Model { return RowRoute(w, 50, 40) }
-	run := func(workers int) SweepResult {
-		s, err := RunSweep(context.Background(), build, move,
-			SweepOpts{Runs: 3, BaseSeed: 7, Workers: workers},
-			UEOpts{Active: true, App: traffic.Speedtest{}}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := run(1), run(8)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("sweep differs across worker counts:\n workers=1: %+v\n workers=8: %+v", a, b)
 	}
 }
 

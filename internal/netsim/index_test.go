@@ -33,19 +33,6 @@ func scanAudible(w *World, pos geo.Point) []AudibleCell {
 	return out
 }
 
-// scanCoChannel is the brute-force reference for StrongestCoChannel: every
-// audible co-channel cell other than the serving one, strongest first,
-// lower CellID on RSRP ties.
-func scanCoChannel(w *World, pos geo.Point, serving *Cell) *Cell {
-	for _, a := range scanAudible(w, pos) {
-		id := a.Cell.Site.Identity
-		if a.Cell != serving && id.EARFCN == serving.Site.Identity.EARFCN && id.RAT == serving.Site.Identity.RAT {
-			return a.Cell
-		}
-	}
-	return nil
-}
-
 // TestAudibleGridMatchesLinear is the property test for the spatial
 // index: across world shapes and randomized positions (inside the region,
 // at its edges, and beyond it), the indexed AudibleScored must return the
@@ -76,21 +63,14 @@ func TestAudibleGridMatchesLinear(t *testing.T) {
 						want[i].Cell.Site.Identity, want[i].RSRP)
 				}
 			}
-			// The dominant-interferer query must agree too.
-			if s := w.StrongestLTE(pos); s != nil {
-				if a, b := w.StrongestCoChannel(pos, s), scanCoChannel(w, pos, s); a != b {
-					t.Fatalf("shape %+v pos %v: co-channel mismatch: index %v, scan %v",
-						shape, pos, a, b)
-				}
-			}
 		}
 	}
 }
 
-// TestStrongestCoChannelTieBreak pins the CellID tie-break: with two
+// TestAudibleScoredTieBreak pins the CellID tie-break: with two
 // co-channel cells at exactly equal RSRP (same shadow field, symmetric
-// positions), the lower CellID must win regardless of slice order.
-func TestStrongestCoChannelTieBreak(t *testing.T) {
+// positions), the lower CellID must rank first regardless of slice order.
+func TestAudibleScoredTieBreak(t *testing.T) {
 	sh := radio.NewShadowField(1, 0, 60) // sigma 0: shadowing exactly zero
 	cfg := &config.CellConfig{TxPowerDBm: 46}
 	mk := func(id uint32, pos geo.Point) *Cell {
@@ -106,10 +86,6 @@ func TestStrongestCoChannelTieBreak(t *testing.T) {
 	lo := mk(2, geo.Pt(-400, 0))
 	hi := mk(3, geo.Pt(400, 0)) // mirror image of lo about the query point
 	pos := geo.Pt(0, 0)
-	probe := &World{PathLoss: radio.DefaultCOST231(), measureRadius: 5000}
-	if rLo, rHi := probe.RSRPAt(lo, pos), probe.RSRPAt(hi, pos); rLo != rHi {
-		t.Fatalf("setup: tie not exact (%v vs %v)", rLo, rHi)
-	}
 	for name, cells := range map[string][]*Cell{
 		"ascending":  {serving, lo, hi},
 		"descending": {serving, hi, lo},
@@ -121,13 +97,18 @@ func TestStrongestCoChannelTieBreak(t *testing.T) {
 		w := &World{
 			Cells:         cells,
 			byID:          map[uint32]*Cell{1: serving, 2: lo, 3: hi},
-			PathLoss:      radio.DefaultCOST231(),
-			Link:          radio.DefaultLinkModel(),
 			measureRadius: 5000,
 			index:         geo.NewGridIndex(sites, 2500),
 		}
-		if got := w.StrongestCoChannel(pos, serving); got == nil || got.Site.Identity.CellID != 2 {
-			t.Fatalf("%s: tie resolved to %v, want CellID 2", name, got)
+		if rLo, rHi := w.RSRPAt(lo, pos), w.RSRPAt(hi, pos); rLo != rHi {
+			t.Fatalf("setup: tie not exact (%v vs %v)", rLo, rHi)
+		}
+		var got []uint32
+		for _, a := range w.NewProbe().AudibleScored(pos) {
+			got = append(got, a.Cell.Site.Identity.CellID)
+		}
+		if len(got) != 3 || got[0] != 2 || got[1] != 3 {
+			t.Fatalf("%s: ranked %v, want CellID 2 then 3 first", name, got)
 		}
 	}
 }

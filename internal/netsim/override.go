@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"mmlab/internal/config"
-	"mmlab/internal/units"
-)
+import "mmlab/internal/config"
 
 // OverridePrimaryEvent replaces the primary handoff event (report id 2) in
 // every LTE cell of the world with the given configuration. The Type-II
@@ -20,20 +17,6 @@ func OverridePrimaryEvent(w *World, ev config.EventConfig) {
 		}
 		if _, ok := c.Config.Meas.Reports[2]; ok {
 			c.Config.Meas.Reports[2] = ev
-		}
-	}
-}
-
-// OverrideA2Gate replaces the A2 measurement-gate threshold (report id 1)
-// across the world's LTE cells.
-func OverrideA2Gate(w *World, thresholdDBm units.Dbm) {
-	for _, c := range w.Cells {
-		if c.Site.Identity.RAT != config.RATLTE || c.Config.Meas.Reports == nil {
-			continue
-		}
-		if gate, ok := c.Config.Meas.Reports[1]; ok && gate.Type == config.EventA2 {
-			gate.Threshold1 = thresholdDBm
-			c.Config.Meas.Reports[1] = gate
 		}
 	}
 }

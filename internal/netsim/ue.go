@@ -51,11 +51,6 @@ type HandoffRecord struct {
 	PingPong bool
 }
 
-// IntraFreq reports whether source and target share RAT and channel.
-func (h HandoffRecord) IntraFreq() bool {
-	return h.From.RAT == h.To.RAT && h.From.EARFCN == h.To.EARFCN
-}
-
 // ThptSample is one 100 ms throughput bin.
 type ThptSample struct {
 	Time core.Clock
@@ -72,10 +67,6 @@ type UEOpts struct {
 	// DeviceBands limits which EARFCNs the device supports (nil = all);
 	// models the paper's band-30 lockout case (§5.4.1).
 	DeviceBands []uint32
-	// FadingSigmaDB is residual per-sample fading; default 1.5 dB.
-	FadingSigmaDB float64
-	// MaxNeighbors caps measured neighbors per round; default 10.
-	MaxNeighbors int
 	// Injector supplies signaling-plane faults (dropped/delayed reports,
 	// lost handover commands, deep fades). nil injects nothing and keeps
 	// the run byte-identical to the fault-free simulator. Each run must
@@ -86,28 +77,26 @@ type UEOpts struct {
 	// Injector is set (faults without RLF would be unobservable); with
 	// neither, the RLF machinery is off entirely.
 	RLF *core.RLFConfig
-	// BandLockoutOutageMs is the service disruption charged when the
-	// network orders an active-state handoff the device cannot perform
-	// (unsupported band, vanished target): the UE must detach, fail, and
-	// recover via connection re-establishment on the old cell. The paper's
-	// band-30 lockout case (§5.4.1) motivates the default of 1000 ms.
-	BandLockoutOutageMs core.Clock
 }
 
 func (o *UEOpts) fill() {
 	if o.StepMs == 0 {
 		o.StepMs = 40
 	}
-	if o.FadingSigmaDB == 0 {
-		o.FadingSigmaDB = 1.5
-	}
-	if o.MaxNeighbors == 0 {
-		o.MaxNeighbors = 10
-	}
-	if o.BandLockoutOutageMs == 0 {
-		o.BandLockoutOutageMs = 1000
-	}
 }
+
+const (
+	// fadingSigmaDB is the residual per-sample fading in dB.
+	fadingSigmaDB = 1.5
+	// maxNeighbors caps the neighbors measured per round.
+	maxNeighbors = 10
+	// bandLockoutOutageMs is the service disruption charged when the
+	// network orders an active-state handoff the device cannot perform
+	// (unsupported band, vanished target): the UE must detach, fail, and
+	// recover via connection re-establishment on the old cell. The paper's
+	// band-30 lockout case (§5.4.1) motivates the 1000 ms.
+	bandLockoutOutageMs core.Clock = 1000
+)
 
 // FailureCounts is the mobility-robustness failure taxonomy of TS 36.300
 // §22.4.2, produced by runs with the fault/RLF layer enabled. The zero
@@ -230,6 +219,7 @@ type ue struct {
 	// rounds allocate nothing.
 	probe *Probe
 	chPow []float64 // co-channel power per World channel index
+	pow   []float64 // each audible cell's co-channel power, in probe order
 	neigh []core.RawMeas
 
 	res *DriveResult
@@ -328,7 +318,7 @@ func (u *ue) camp(t core.Clock, c *Cell) {
 func (u *ue) fadingFor(id uint32) *radio.FastFading {
 	f, ok := u.fading[id]
 	if !ok {
-		f = radio.NewFastFading(u.opts.Seed^int64(uint64(id)*0x5DEECE66D), u.opts.FadingSigmaDB, 0.7)
+		f = radio.NewFastFading(u.opts.Seed^int64(uint64(id)*0x5DEECE66D), fadingSigmaDB, 0.7)
 		u.fading[id] = f
 	}
 	return f
@@ -388,22 +378,30 @@ func (u *ue) round(t core.Clock, move mobility.Model) {
 
 	// Per-channel co-channel power (load-weighted, deterministic RSRP):
 	// the interference substrate behind RSRQ and SINR. The probe already
-	// scored every audible cell, so no RSRP is evaluated twice.
+	// scored every audible cell, so no RSRP is evaluated twice, and each
+	// cell's own power is kept so no power is either.
 	clear(u.chPow)
+	u.pow = u.pow[:0]
 	servingRSRP := units.Dbm(math.NaN())
+	var servingPow float64
 	for _, a := range audible {
-		u.chPow[a.Cell.ch] += a.Cell.Load * radio.DBmToMw(a.RSRP.V())
+		p := a.Cell.Load * radio.DBmToMw(a.RSRP.V())
+		u.pow = append(u.pow, p)
+		u.chPow[a.Cell.ch] += p
 		if a.Cell == u.serving {
-			servingRSRP = a.RSRP
+			servingRSRP, servingPow = a.RSRP, p
 		}
 	}
 	if math.IsNaN(servingRSRP.V()) {
 		// Serving cell out of measurement range: it still transmits.
 		servingRSRP = u.w.RSRPAt(u.serving, pos)
-		u.chPow[u.serving.ch] += u.serving.Load * radio.DBmToMw(servingRSRP.V())
+		servingPow = u.serving.Load * radio.DBmToMw(servingRSRP.V())
+		u.chPow[u.serving.ch] += servingPow
 	}
-	intfFor := func(c *Cell, det units.Dbm) float64 {
-		intf := u.chPow[c.ch] - c.Load*radio.DBmToMw(det.V())
+	// intfFor is the co-channel interference-plus-noise power seen by cell
+	// c, whose own co-channel power is pow.
+	intfFor := func(c *Cell, pow float64) float64 {
+		intf := u.chPow[c.ch] - pow
 		if intf < 0 {
 			intf = 0
 		}
@@ -414,18 +412,18 @@ func (u *ue) round(t core.Clock, move mobility.Model) {
 	// without an injector, leaving all the math untouched).
 	fadeDB := u.inj.FadeDB(int64(t))
 
-	servingIntf := fadedIntf(intfFor(u.serving, servingRSRP), fadeDB)
+	servingIntf := fadedIntf(intfFor(u.serving, servingPow), fadeDB)
 	servingMeas := u.measure(u.serving, servingRSRP, servingIntf, fadeDB)
 
 	u.neigh = u.neigh[:0]
-	for _, a := range audible {
+	for i, a := range audible {
 		if a.Cell == u.serving {
 			continue
 		}
-		if len(u.neigh) >= u.opts.MaxNeighbors {
+		if len(u.neigh) >= maxNeighbors {
 			break
 		}
-		m := u.measure(a.Cell, a.RSRP, fadedIntf(intfFor(a.Cell, a.RSRP), fadeDB), fadeDB)
+		m := u.measure(a.Cell, a.RSRP, fadedIntf(intfFor(a.Cell, u.pow[i]), fadeDB), fadeDB)
 		if m.RSRP <= radio.RSRPMin+1 {
 			continue // below the noise floor: undetectable
 		}
@@ -457,7 +455,7 @@ func (u *ue) stepActive(t core.Clock, servingMeas core.RawMeas, servingIntfMw fl
 		linkBps := 0.0
 		if t >= u.interruptUntil && !u.reestab.active {
 			sinr := radio.SINRdB(servingMeas.RSRP, servingIntfMw)
-			linkBps = u.w.Link.Throughput(sinr, 1)
+			linkBps = radio.Throughput(sinr)
 		}
 		bits := u.opts.App.Step(t, u.opts.StepMs, linkBps)
 		u.accumulate(t, bits)
@@ -640,16 +638,16 @@ func (u *ue) executeActive(t core.Clock, servingMeas core.RawMeas, neighbors []c
 		// decision and execution): the handoff fails and the UE recovers on
 		// the old cell — a disruption, not a silent no-op.
 		u.res.FailedHO++
-		u.res.OutageMs += u.opts.BandLockoutOutageMs
-		u.interruptUntil = t + u.opts.BandLockoutOutageMs
+		u.res.OutageMs += bandLockoutOutageMs
+		u.interruptUntil = t + bandLockoutOutageMs
 		return
 	}
 	if !core.SupportedTarget(u.opts.DeviceBands, dec.Target) {
 		// The paper's band-lockout failure: the network orders a handoff
 		// the phone cannot perform; service is disrupted (§5.4.1).
 		u.res.FailedHO++
-		u.res.OutageMs += u.opts.BandLockoutOutageMs
-		u.interruptUntil = t + u.opts.BandLockoutOutageMs
+		u.res.OutageMs += bandLockoutOutageMs
+		u.interruptUntil = t + bandLockoutOutageMs
 		return
 	}
 	// The target's radio quality as last measured this round.

@@ -7,7 +7,6 @@
 package netsim
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -32,14 +31,9 @@ type Cell struct {
 
 // World is a drive-test arena: one carrier's cells in one region.
 type World struct {
-	Gen      *carrier.Generator
-	Region   geo.Rect
-	Cells    []*Cell
-	byID     map[uint32]*Cell
-	PathLoss radio.PathLossModel
-	Link     radio.LinkModel
-	Seed     int64
-	Epoch    int
+	Region geo.Rect
+	Cells  []*Cell
+	byID   map[uint32]*Cell
 
 	// channels is the number of distinct (EARFCN, RAT) channels; every
 	// Cell.ch is below it.
@@ -52,8 +46,7 @@ type World struct {
 
 // WorldOpts controls world construction.
 type WorldOpts struct {
-	Seed  int64
-	Epoch int
+	Seed int64
 	// LTELayers is how many LTE channel layers to deploy (top deployment
 	// weights first). Default 3.
 	LTELayers int
@@ -63,10 +56,6 @@ type WorldOpts struct {
 	IncludeNonLTE bool
 	// City tags the sites (affects city-scoped configuration draws).
 	City string
-	// ShadowSigmaDB/ShadowCorrDist control shadowing realism. Defaults
-	// 6 dB / 60 m.
-	ShadowSigmaDB  float64
-	ShadowCorrDist float64
 	// MeasureRadius bounds which cells a UE can hear, in meters. Default
 	// 4×ISD.
 	MeasureRadius float64
@@ -82,28 +71,25 @@ func (o *WorldOpts) fill() {
 	if o.City == "" {
 		o.City = "C3"
 	}
-	if o.ShadowSigmaDB == 0 {
-		o.ShadowSigmaDB = 6
-	}
-	if o.ShadowCorrDist == 0 {
-		o.ShadowCorrDist = 60
-	}
 	if o.MeasureRadius == 0 {
 		o.MeasureRadius = 4 * o.ISD
 	}
 }
 
-// BuildWorld deploys the carrier's top channel layers over the region.
+// Every cell's shadowing field: standard deviation in dB and
+// decorrelation distance in meters.
+const (
+	shadowSigmaDB  = 6
+	shadowCorrDist = 60
+)
+
+// BuildWorld deploys the carrier's top channel layers over the region,
+// with the carrier's epoch-0 configurations.
 func BuildWorld(gen *carrier.Generator, region geo.Rect, opts WorldOpts) *World {
 	opts.fill()
 	w := &World{
-		Gen:      gen,
-		Region:   region,
-		byID:     make(map[uint32]*Cell),
-		PathLoss: radio.DefaultCOST231(),
-		Link:     radio.DefaultLinkModel(),
-		Seed:     opts.Seed,
-		Epoch:    opts.Epoch,
+		Region: region,
+		byID:   make(map[uint32]*Cell),
 	}
 
 	type layer struct {
@@ -163,11 +149,11 @@ func BuildWorld(gen *carrier.Generator, region geo.Rect, opts WorldOpts) *World 
 			}
 			cell := &Cell{
 				Site:    site,
-				Config:  gen.Config(site, opts.Epoch),
+				Config:  gen.Config(site, 0),
 				FreqMHz: carrier.FreqMHz(ly.rat, ly.earfcn),
 				Shadow: radio.NewShadowField(
 					opts.Seed^int64(uint64(id)*0x9E3779B97F4A7C15),
-					opts.ShadowSigmaDB, opts.ShadowCorrDist),
+					shadowSigmaDB, shadowCorrDist),
 				Load: 0.2 + 0.6*hashFrac(opts.Seed, id),
 				ch:   ch,
 			}
@@ -207,7 +193,7 @@ func hashFrac(seed int64, id uint32) float64 {
 // fast fading — the caller adds per-UE fading).
 func (w *World) RSRPAt(c *Cell, pos geo.Point) units.Dbm {
 	d := units.Meters(pos.Dist(c.Site.Pos))
-	return radio.RSRPAt(c.Config.TxPowerDBm, w.PathLoss, d, c.FreqMHz, c.Shadow.At(pos.X, pos.Y))
+	return radio.RSRPAt(c.Config.TxPowerDBm, d, c.FreqMHz, c.Shadow.At(pos.X, pos.Y))
 }
 
 // AudibleCell is one audibility-query result: a cell plus its
@@ -268,27 +254,4 @@ func (w *World) StrongestLTE(pos geo.Point) *Cell {
 		}
 	}
 	return nil
-}
-
-// StrongestCoChannel returns the strongest audible cell sharing the
-// serving cell's channel (the dominant interferer), or nil. RSRP ties
-// resolve to the lower CellID — the same tie-break AudibleScored uses — so the
-// result is independent of cell iteration order.
-func (w *World) StrongestCoChannel(pos geo.Point, serving *Cell) *Cell {
-	var best *Cell
-	bestRSRP := units.Dbm(math.Inf(-1))
-	for _, i := range w.index.WithinRadius(pos, w.measureRadius, nil) {
-		c := w.Cells[i]
-		if c == serving ||
-			c.Site.Identity.EARFCN != serving.Site.Identity.EARFCN ||
-			c.Site.Identity.RAT != serving.Site.Identity.RAT {
-			continue
-		}
-		r := w.RSRPAt(c, pos)
-		if r > bestRSRP ||
-			(r == bestRSRP && best != nil && c.Site.Identity.CellID < best.Site.Identity.CellID) {
-			best, bestRSRP = c, r
-		}
-	}
-	return best
 }

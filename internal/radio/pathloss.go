@@ -1,7 +1,8 @@
 // Package radio models the radio layer the paper's handoff machinery
-// observes: path loss, correlated log-normal shadowing, fast fading,
-// RSRP/RSRQ measurement with 3GPP quantization and L3 filtering, and the
-// SINR→throughput mapping used by the Type-II performance experiments.
+// observes: COST-231 Hata path loss, correlated log-normal shadowing, fast
+// fading, RSRP/RSRQ measurement with 3GPP quantization and L3 filtering,
+// and the SINR→throughput mapping used by the Type-II performance
+// experiments.
 //
 // All signal strengths follow the paper's conventions: RSRP in dBm within
 // [−140, −44], RSRQ in dB within [−19.5, −3] (§2.2).
@@ -37,73 +38,45 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// PathLossModel computes propagation loss in dB for a link of d meters at
-// freqMHz carrier frequency.
-type PathLossModel interface {
-	// Loss returns the path loss in dB (positive). Implementations must be
-	// monotonically non-decreasing in distance.
-	Loss(d units.Meters, freqMHz units.MegaHz) units.Db
-}
+// COST231Hata is the COST-231 Hata urban macro model for a medium city,
+// the standard planning model for the 150–2000 MHz cellular bands; we
+// extend it to the 2.3/2.6 GHz LTE bands as planning tools commonly do.
+// It is the one path-loss model every world uses, with a 30 m base-station
+// antenna and a 1.5 m UE antenna.
+type COST231Hata struct{}
 
-// FreeSpace is the free-space path loss model, FSPL(dB) =
-// 20·log10(d_km) + 20·log10(f_MHz) + 32.45. Used for line-of-sight rural
-// and highway macro links.
-type FreeSpace struct{}
+// Antenna heights in meters.
+const (
+	baseHeight   = 30
+	mobileHeight = 1.5
+)
 
-// Loss implements PathLossModel.
-func (FreeSpace) Loss(dist units.Meters, freqMHz units.MegaHz) units.Db {
-	d, f := dist.V(), freqMHz.V()
-	if d < 1 {
-		d = 1 // avoid -inf at the antenna
-	}
-	return units.Db(20*math.Log10(d/1000) + 20*math.Log10(f) + 32.45)
-}
+// log10BaseHeight is log10(baseHeight), computed once.
+var log10BaseHeight = math.Log10(baseHeight)
 
-// COST231Hata is the COST-231 Hata urban macro model, the standard
-// planning model for the 150–2000 MHz cellular bands; we extend it to the
-// 2.3/2.6 GHz LTE bands as planning tools commonly do. Heights are in
-// meters.
-type COST231Hata struct {
-	BaseHeight   float64 // base-station antenna height, e.g. 30 m
-	MobileHeight float64 // UE antenna height, e.g. 1.5 m
-	Metropolitan bool    // true adds the 3 dB metropolitan-center correction
-}
+// DefaultCOST231 returns the model.
+func DefaultCOST231() COST231Hata { return COST231Hata{} }
 
-// DefaultCOST231 returns the model with typical macro-cell heights.
-func DefaultCOST231() COST231Hata {
-	return COST231Hata{BaseHeight: 30, MobileHeight: 1.5}
-}
-
-// Loss implements PathLossModel.
-func (m COST231Hata) Loss(dist units.Meters, freqMHz units.MegaHz) units.Db {
+// Loss returns the path loss in dB (positive) for a link of dist meters at
+// freqMHz carrier frequency. It is non-decreasing in distance.
+func (COST231Hata) Loss(dist units.Meters, freqMHz units.MegaHz) units.Db {
 	d, f := dist.V(), freqMHz.V()
 	if d < 10 {
 		d = 10 // model validity floor; also avoids -inf
 	}
-	hb := m.BaseHeight
-	if hb <= 0 {
-		hb = 30
-	}
-	hm := m.MobileHeight
-	if hm <= 0 {
-		hm = 1.5
-	}
-	lf, lhb := math.Log10(f), math.Log10(hb)
+	lf, lhb := math.Log10(f), log10BaseHeight
 	// Mobile antenna correction for medium cities.
-	a := (1.1*lf-0.7)*hm - (1.56*lf - 0.8)
-	c := 0.0
-	if m.Metropolitan {
-		c = 3
-	}
+	a := (1.1*lf-0.7)*mobileHeight - (1.56*lf - 0.8)
 	return units.Db(46.3 + 33.9*lf - 13.82*lhb - a +
-		(44.9-6.55*lhb)*math.Log10(d/1000) + c)
+		(44.9-6.55*lhb)*math.Log10(d/1000))
 }
 
 // RSRPAt converts a link budget to RSRP: transmit reference-signal power
-// txPowerDBm minus path loss minus extra attenuation (shadowing+fading, dB,
-// positive attenuates). The result is clamped to the reportable range.
-func RSRPAt(txPowerDBm units.Dbm, model PathLossModel, d units.Meters, freqMHz units.MegaHz, extraLossDB units.Db) units.Dbm {
-	return ClampRSRP(txPowerDBm.SubDb(model.Loss(d, freqMHz)).SubDb(extraLossDB))
+// txPowerDBm minus COST-231 Hata path loss minus extra attenuation
+// (shadowing+fading, dB, positive attenuates). The result is clamped to
+// the reportable range.
+func RSRPAt(txPowerDBm units.Dbm, d units.Meters, freqMHz units.MegaHz, extraLossDB units.Db) units.Dbm {
+	return ClampRSRP(txPowerDBm.SubDb(COST231Hata{}.Loss(d, freqMHz)).SubDb(extraLossDB))
 }
 
 // RSRQFromRSRP derives an RSRQ figure from RSRP and a cell-load factor in

@@ -31,36 +31,6 @@ func TestClampRSRQ(t *testing.T) {
 	}
 }
 
-func TestFreeSpaceKnownValue(t *testing.T) {
-	// FSPL at 1 km, 2000 MHz: 20*0 + 20*log10(2000) + 32.45 = 98.47 dB.
-	got := FreeSpace{}.Loss(1000, 2000)
-	if math.Abs(got.V()-98.47) > 0.01 {
-		t.Errorf("FSPL(1km,2GHz) = %v, want ~98.47", got)
-	}
-}
-
-func TestFreeSpaceMonotone(t *testing.T) {
-	m := FreeSpace{}
-	prev := m.Loss(1, 1900)
-	for d := 10.0; d < 20000; d *= 2 {
-		l := m.Loss(units.Meters(d), 1900)
-		if l < prev {
-			t.Fatalf("loss decreased at d=%v", d)
-		}
-		prev = l
-	}
-}
-
-func TestFreeSpaceNearFieldFloor(t *testing.T) {
-	m := FreeSpace{}
-	if got := m.Loss(0, 1900); math.IsInf(got.V(), 0) || math.IsNaN(got.V()) {
-		t.Errorf("loss at d=0 should be finite, got %v", got)
-	}
-	if m.Loss(0, 1900) != m.Loss(1, 1900) {
-		t.Error("d<1 should clamp to d=1")
-	}
-}
-
 func TestCOST231HataShape(t *testing.T) {
 	m := DefaultCOST231()
 	// Published sanity point: f=2000 MHz, hb=30, hm=1.5, d=1 km → ~137-139 dB.
@@ -68,9 +38,10 @@ func TestCOST231HataShape(t *testing.T) {
 	if got < 130 || got > 145 {
 		t.Errorf("COST231(1km,2GHz) = %v, want ~137", got)
 	}
-	// Urban model must exceed free space at macro distances.
-	if got <= (FreeSpace{}).Loss(1000, 2000) {
-		t.Error("COST231 should exceed FSPL")
+	// Urban model must exceed free space at macro distances: FSPL(1 km,
+	// 2 GHz) = 20·log10(1) + 20·log10(2000) + 32.45 = 98.47 dB.
+	if got <= 98.47 {
+		t.Errorf("COST231(1km,2GHz) = %v should exceed FSPL 98.47", got)
 	}
 	// Slope: roughly 35 dB/decade with hb=30.
 	d1, d10 := m.Loss(1000, 2000), m.Loss(10000, 2000)
@@ -80,18 +51,15 @@ func TestCOST231HataShape(t *testing.T) {
 	}
 }
 
-func TestCOST231Metropolitan(t *testing.T) {
-	base := COST231Hata{BaseHeight: 30, MobileHeight: 1.5}
-	metro := COST231Hata{BaseHeight: 30, MobileHeight: 1.5, Metropolitan: true}
-	if diff := metro.Loss(1000, 2000) - base.Loss(1000, 2000); math.Abs(diff.V()-3) > 1e-9 {
-		t.Errorf("metropolitan correction = %v, want 3", diff)
-	}
-}
-
+// TestCOST231DefaultsOnZeroHeights: the zero value is the model, with
+// the 30 m / 1.5 m antenna heights built in.
 func TestCOST231DefaultsOnZeroHeights(t *testing.T) {
-	m := COST231Hata{}
-	if got := m.Loss(1000, 2000); math.IsNaN(got.V()) || math.IsInf(got.V(), 0) {
-		t.Errorf("zero-height model should default, got %v", got)
+	got := COST231Hata{}.Loss(1000, 2000)
+	if math.IsNaN(got.V()) || math.IsInf(got.V(), 0) {
+		t.Errorf("zero-value model should be usable, got %v", got)
+	}
+	if got != DefaultCOST231().Loss(1000, 2000) {
+		t.Error("DefaultCOST231 differs from the zero value")
 	}
 }
 
@@ -111,13 +79,16 @@ func TestCOST231MonotoneProperty(t *testing.T) {
 }
 
 func TestRSRPAt(t *testing.T) {
-	got := RSRPAt(15, FreeSpace{}, 1000, 2000, 0)
-	want := 15 - 98.47
-	if math.Abs(got.V()-want) > 0.01 {
+	loss := DefaultCOST231().Loss(1000, 2000)
+	if got, want := RSRPAt(15, 1000, 2000, 0), units.Dbm(15-loss.V()); got != want {
 		t.Errorf("RSRPAt = %v, want %v", got, want)
 	}
+	// Extra loss attenuates dB for dB.
+	if got, want := RSRPAt(15, 1000, 2000, 3), units.Dbm(15-loss.V()-3); got != want {
+		t.Errorf("RSRPAt with 3 dB extra loss = %v, want %v", got, want)
+	}
 	// Always within reportable range.
-	if v := RSRPAt(15, DefaultCOST231(), 100000, 2000, 40); v < RSRPMin || v > RSRPMax {
+	if v := RSRPAt(15, 100000, 2000, 40); v < RSRPMin || v > RSRPMax {
 		t.Errorf("RSRP out of range: %v", v)
 	}
 }
@@ -147,9 +118,6 @@ func TestRSRQFromRSRP(t *testing.T) {
 
 func TestShadowFieldStatistics(t *testing.T) {
 	f := NewShadowField(42, 6, 50)
-	if f.Sigma() != 6 {
-		t.Fatalf("Sigma = %v", f.Sigma())
-	}
 	// Empirical stdev over a wide area should be within 25% of nominal.
 	var xs []float64
 	for i := 0; i < 4000; i++ {
@@ -338,61 +306,33 @@ func TestRSRQQuantizationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLinkModelThroughput(t *testing.T) {
-	m := DefaultLinkModel()
-	// Strong signal, no interference → near the MCS cap.
-	hi := m.ThroughputFromRSRP(-70, RSRPMin, 0, 1)
-	capRate := m.MaxSpectral * m.BandwidthHz * (1 - m.OverheadFrac)
-	if hi < 0.9*capRate || hi > capRate {
-		t.Errorf("strong-signal throughput = %v, cap %v", hi, capRate)
+func TestThroughput(t *testing.T) {
+	// High SINR saturates at the MCS cap: 4.8 bits/s/Hz over 10 MHz less
+	// 25 % overhead.
+	const capRate = 4.8 * 10e6 * 0.75
+	if got := Throughput(40); got != capRate {
+		t.Errorf("Throughput(40 dB) = %v, want the cap %v", got, capRate)
 	}
-	// Weak signal near the floor → a small fraction of cap.
-	lo := m.ThroughputFromRSRP(-125, -120, 0.5, 1)
-	if lo >= hi/4 {
-		t.Errorf("weak-signal throughput %v not << strong %v", lo, hi)
-	}
-	// Monotone in serving RSRP.
+	// Monotone in SINR, never negative, and far below the cap near the
+	// noise floor.
 	prev := -1.0
-	for r := -130.0; r <= -60; r += 5 {
-		th := m.ThroughputFromRSRP(r, -110, 0.5, 1)
+	for s := -20.0; s <= 40; s += 0.5 {
+		th := Throughput(s)
+		if th < 0 {
+			t.Fatalf("negative throughput %v at SINR %v", th, s)
+		}
 		if th < prev {
-			t.Fatalf("throughput decreased at RSRP %v", r)
+			t.Fatalf("throughput decreased at SINR %v", s)
 		}
 		prev = th
 	}
-}
-
-func TestLinkModelShare(t *testing.T) {
-	m := DefaultLinkModel()
-	full := m.ThroughputFromRSRP(-80, RSRPMin, 0, 1)
-	half := m.ThroughputFromRSRP(-80, RSRPMin, 0, 0.5)
-	if math.Abs(half*2-full) > 1e-6 {
-		t.Errorf("share scaling: full=%v half=%v", full, half)
-	}
-	if m.ThroughputFromRSRP(-80, RSRPMin, 0, -1) != 0 {
-		t.Error("negative share should clamp to 0")
-	}
-}
-
-func TestLinkModelSINRInterference(t *testing.T) {
-	m := DefaultLinkModel()
-	clean := m.SINR(-90, RSRPMin, 0)
-	dirty := m.SINR(-90, -92, 1)
-	if dirty >= clean {
-		t.Error("interference should reduce SINR")
-	}
-	// With a dominant equal-power interferer at full load SINR ≈ 0 dB.
-	if s := m.SINR(-90, -90, 1); s > 1 || s < -2 {
-		t.Errorf("equal-power interferer SINR = %v, want ~0 dB", s)
+	if lo := Throughput(-10); lo >= capRate/4 {
+		t.Errorf("Throughput(-10 dB) = %v, not << cap %v", lo, capRate)
 	}
 }
 
 func TestThroughputNeverNegative(t *testing.T) {
-	m := DefaultLinkModel()
-	f := func(r1, r2 int8, load float64) bool {
-		s := m.SINR(clamp(float64(r1)-90, RSRPMin, RSRPMax), clamp(float64(r2)-90, RSRPMin, RSRPMax), math.Abs(math.Mod(load, 1)))
-		return m.Throughput(s, 1) >= 0
-	}
+	f := func(sinrDB float64) bool { return Throughput(sinrDB) >= 0 }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}

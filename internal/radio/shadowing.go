@@ -19,7 +19,6 @@ import (
 // fully deterministic from the seed, and evaluable at any coordinate with
 // no stored grid.
 type ShadowField struct {
-	sigma float64 // standard deviation in dB
 	kx    [nWaves]float64
 	ky    [nWaves]float64
 	phase [nWaves]float64
@@ -34,7 +33,7 @@ const nWaves = 24
 // cell identity) so shadowing to different cells is independent.
 func NewShadowField(seed int64, sigmaDB, corrDist float64) *ShadowField {
 	rng := rng.New(seed)
-	f := &ShadowField{sigma: sigmaDB}
+	f := &ShadowField{}
 	if corrDist <= 0 {
 		corrDist = 50
 	}
@@ -61,9 +60,6 @@ func (f *ShadowField) At(x, y float64) units.Db {
 	}
 	return units.Db(s * f.amp)
 }
-
-// Sigma returns the configured standard deviation in dB.
-func (f *ShadowField) Sigma() float64 { return f.sigma }
 
 // FastFading models small-scale fading as a first-order autoregressive dB
 // process evaluated per measurement sample. It is intentionally light: L1

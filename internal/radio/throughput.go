@@ -2,72 +2,30 @@ package radio
 
 import "math"
 
-// LinkModel maps radio conditions to achievable downlink throughput, for
-// the Type-II performance experiments (paper §4.1, Figs. 7–8). It follows
-// the standard attenuated-Shannon form used in LTE system-level
-// simulators: spectral efficiency η = min(η_max, α·log2(1+SINR)), capped by
-// the highest modulation-and-coding scheme.
-type LinkModel struct {
-	BandwidthHz  float64 // cell bandwidth, e.g. 10 MHz → 10e6
-	Alpha        float64 // implementation-loss factor, typically 0.65–0.75
-	MaxSpectral  float64 // bits/s/Hz cap, e.g. 4.8 for 64QAM 0.93
-	NoiseFigure  float64 // UE noise figure in dB
-	OverheadFrac float64 // control/reference overhead fraction, e.g. 0.25
-}
+// Link parameters of a 10 MHz LTE macro cell.
+const (
+	bandwidthHz  = 10e6 // cell bandwidth
+	alpha        = 0.7  // implementation-loss factor
+	maxSpectral  = 4.8  // bits/s/Hz cap: 64QAM 0.93
+	overheadFrac = 0.25 // control/reference overhead fraction
+)
 
-// DefaultLinkModel returns parameters typical of a 10 MHz LTE macro cell.
-func DefaultLinkModel() LinkModel {
-	return LinkModel{
-		BandwidthHz:  10e6,
-		Alpha:        0.7,
-		MaxSpectral:  4.8,
-		NoiseFigure:  7,
-		OverheadFrac: 0.25,
-	}
-}
-
-// thermalNoiseDBm returns thermal noise power over bw Hz: −174 dBm/Hz + NF.
-func (m LinkModel) thermalNoiseDBm() float64 {
-	return -174 + 10*math.Log10(m.BandwidthHz) + m.NoiseFigure
-}
-
-// SINR estimates downlink SINR in dB from serving RSRP (dBm) and an
-// aggregate interference proxy: interfererRSRP is the strongest co-channel
-// neighbor's RSRP (use RSRPMin when none) and load the neighbor's activity
-// in [0,1].
-//
-// RSRP is per-resource-element; total received power is RSRP + 10·log10(#RE),
-// but since the same factor applies to interference we can work directly in
-// RSRP space and only widen the noise term appropriately. We use the
-// conventional 12·50 = 600 REs/ms normalization for a 10 MHz carrier scaled
-// by bandwidth.
-func (m LinkModel) SINR(servingRSRP, interfererRSRP, load float64) float64 {
-	nRE := 600 * m.BandwidthHz / 10e6
-	sig := dbmToMw(servingRSRP) * nRE
-	intf := dbmToMw(interfererRSRP) * nRE * clamp(load, 0, 1)
-	noise := dbmToMw(m.thermalNoiseDBm())
-	return 10 * math.Log10(sig/(intf+noise))
-}
-
-// Throughput returns achievable downlink throughput in bits/s at the given
-// SINR in dB, with share the fraction of cell resources granted to this UE
-// (1 for a lone greedy user).
-func (m LinkModel) Throughput(sinrDB, share float64) float64 {
+// Throughput returns the achievable downlink throughput in bits/s of a
+// lone greedy user at the given SINR in dB, for the Type-II performance
+// experiments (paper §4.1, Figs. 7–8). It follows the standard
+// attenuated-Shannon form used in LTE system-level simulators: spectral
+// efficiency η = min(η_max, α·log2(1+SINR)), capped by the highest
+// modulation-and-coding scheme.
+func Throughput(sinrDB float64) float64 {
 	sinr := math.Pow(10, sinrDB/10)
-	eta := m.Alpha * math.Log2(1+sinr)
-	if eta > m.MaxSpectral {
-		eta = m.MaxSpectral
+	eta := alpha * math.Log2(1+sinr)
+	if eta > maxSpectral {
+		eta = maxSpectral
 	}
 	if eta < 0 {
 		eta = 0
 	}
-	return eta * m.BandwidthHz * (1 - m.OverheadFrac) * clamp(share, 0, 1)
-}
-
-// ThroughputFromRSRP is the common composition: SINR from link budget, then
-// rate. Interference defaults to a single dominant neighbor at load.
-func (m LinkModel) ThroughputFromRSRP(servingRSRP, neighborRSRP, neighborLoad, share float64) float64 {
-	return m.Throughput(m.SINR(servingRSRP, neighborRSRP, neighborLoad), share)
+	return eta * bandwidthHz * (1 - overheadFrac)
 }
 
 func dbmToMw(dbm float64) float64 { return math.Pow(10, dbm/10) }

@@ -2,7 +2,8 @@
 # Repository verification: vet, formatting, determinism lint, and the
 # full test suite under the race detector. Run before every push.
 #
-#   ./verify.sh            full check (vet + gofmt -s + mmvet + race tests)
+#   ./verify.sh            full check (vet of both modules + gofmt -s +
+#                          mmvet + race tests)
 #   ./verify.sh lint       determinism static analysis only (mmvet: five
 #                          analyzers, no flags, no baseline — any finding,
 #                          malformed //mmvet: annotations included, fails)
@@ -16,6 +17,9 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# perfbench is its own module and compiles against the netsim and radio
+# API; vet it so a break shows here and not only in CI.
+(cd perfbench && go vet ./...)
 
 echo "== gofmt -s =="
 badfmt=$(gofmt -s -l .)
