@@ -14,7 +14,6 @@ package carrier
 
 import (
 	"fmt"
-	"sort"
 
 	"mmlab/internal/config"
 )
@@ -139,36 +138,4 @@ var USCities = []struct {
 	{"C3", "Indianapolis", 2348},
 	{"C4", "Columbus", 1268},
 	{"C5", "Lafayette", 745},
-}
-
-// CityCodes returns the city codes in order.
-func CityCodes() []string {
-	out := make([]string, len(USCities))
-	for i, c := range USCities {
-		out[i] = c.Code
-	}
-	return out
-}
-
-// MainCarriers returns the nine carriers the paper's cross-carrier figures
-// use (Figs. 15, 17): A, T, S, V, CM, SK, MO, CH, CW.
-func MainCarriers() []Carrier {
-	var out []Carrier
-	for _, a := range []string{"A", "T", "S", "V", "CM", "SK", "MO", "CH", "CW"} {
-		c, ok := ByAcronym(a)
-		if ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// SortedAcronyms returns all acronyms sorted, for deterministic iteration.
-func SortedAcronyms() []string {
-	out := make([]string, len(registry))
-	for i, c := range registry {
-		out[i] = c.Acronym
-	}
-	sort.Strings(out)
-	return out
 }

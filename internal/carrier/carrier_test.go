@@ -64,16 +64,6 @@ func TestCDMAFamilyOnlyWhereExpected(t *testing.T) {
 	}
 }
 
-func TestMainCarriers(t *testing.T) {
-	mc := MainCarriers()
-	if len(mc) != 9 {
-		t.Fatalf("MainCarriers = %d, want 9", len(mc))
-	}
-	if mc[0].Acronym != "A" || mc[8].Acronym != "CW" {
-		t.Errorf("order wrong: %v..%v", mc[0].Acronym, mc[8].Acronym)
-	}
-}
-
 func TestUSCities(t *testing.T) {
 	if len(USCities) != 5 {
 		t.Fatalf("USCities = %d", len(USCities))
@@ -85,9 +75,6 @@ func TestUSCities(t *testing.T) {
 			t.Errorf("%s cells = %d, want %d", c.Code, c.Cells, want[i])
 		}
 	}
-	if codes := CityCodes(); len(codes) != 5 || codes[0] != "C1" {
-		t.Errorf("CityCodes = %v", codes)
-	}
 }
 
 func TestHasRATAndString(t *testing.T) {
@@ -97,9 +84,6 @@ func TestHasRATAndString(t *testing.T) {
 	}
 	if a.String() == "" {
 		t.Error("String empty")
-	}
-	if len(SortedAcronyms()) != 30 {
-		t.Error("SortedAcronyms size")
 	}
 }
 

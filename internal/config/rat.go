@@ -47,20 +47,6 @@ func (r RAT) String() string {
 // Valid reports whether r names a real RAT.
 func (r RAT) Valid() bool { return r < numRATs }
 
-// Generation returns 2, 3 or 4 for the RAT's cellular generation.
-func (r RAT) Generation() int {
-	switch r {
-	case RATLTE:
-		return 4
-	case RATUMTS, RATEVDO:
-		return 3
-	case RATGSM, RATCDMA1x:
-		return 2
-	default:
-		return 0
-	}
-}
-
 // Quantity identifies which radio measurement a threshold or event is
 // evaluated against. The paper uses RSRP/RSRQ for LTE (§2.2); the 3G
 // equivalents RSCP/EcNo map onto the same two slots so inter-RAT events

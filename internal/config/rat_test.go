@@ -6,28 +6,24 @@ func TestRATStrings(t *testing.T) {
 	tests := []struct {
 		r    RAT
 		want string
-		gen  int
 	}{
-		{RATLTE, "LTE", 4},
-		{RATUMTS, "UMTS", 3},
-		{RATGSM, "GSM", 2},
-		{RATEVDO, "EVDO", 3},
-		{RATCDMA1x, "CDMA1x", 2},
+		{RATLTE, "LTE"},
+		{RATUMTS, "UMTS"},
+		{RATGSM, "GSM"},
+		{RATEVDO, "EVDO"},
+		{RATCDMA1x, "CDMA1x"},
 	}
 	for _, tt := range tests {
 		if got := tt.r.String(); got != tt.want {
 			t.Errorf("String(%d) = %q, want %q", tt.r, got, tt.want)
-		}
-		if got := tt.r.Generation(); got != tt.gen {
-			t.Errorf("Generation(%s) = %d, want %d", tt.want, got, tt.gen)
 		}
 		if !tt.r.Valid() {
 			t.Errorf("%s should be valid", tt.want)
 		}
 	}
 	bad := RAT(99)
-	if bad.Valid() || bad.Generation() != 0 {
-		t.Error("RAT(99) should be invalid with generation 0")
+	if bad.Valid() {
+		t.Error("RAT(99) should be invalid")
 	}
 	if bad.String() == "" {
 		t.Error("invalid RAT String should still render")

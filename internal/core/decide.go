@@ -16,26 +16,18 @@ type Decision struct {
 	ExecuteAt Clock
 }
 
-// Decider is the network (serving eNodeB) side of the active-state
-// handoff decision (Fig. 1 step 4). The paper finds the decision is
-// "determined by the last reporting event": an A3/A4/A5 report hands off
-// to the best reported neighbor; a periodic report hands off when a
-// neighbor beats the serving cell by a vendor margin; an A2 report can
-// trigger a blind redirection to the best neighbor it carries; A1 never
-// causes a handoff.
-type Decider struct {
-	serving *config.CellConfig
-
-	// PeriodicMargin is the proprietary vendor margin for periodic-report
-	// decisions.
-	PeriodicMargin units.Db
+// The network's proprietary decision margins. predict assumes the same
+// values on the device side.
+const (
+	// PeriodicMargin is the vendor margin a neighbor must beat the serving
+	// cell by for a periodic-report handoff.
+	PeriodicMargin units.Db = 2
 	// A2Emergency is the serving RSRP below which an A2 report triggers a
-	// rescue redirection (dBm). A2 alone "should not trigger a handoff
-	// unless there is a strong candidate cell" (§4.1); real networks use
-	// it to salvage a dying link, which is why A2-decisive handoffs are
-	// rare (1.7 % in AT&T, Fig. 5a).
-	A2Emergency units.Dbm
-
+	// rescue redirection. A2 alone "should not trigger a handoff unless
+	// there is a strong candidate cell" (§4.1); real networks use it to
+	// salvage a dying link, which is why A2-decisive handoffs are rare
+	// (1.7 % in AT&T, Fig. 5a).
+	A2Emergency units.Dbm = -126
 	// SanityMargin guards absolute-threshold events (A4/A5/B1/B2): the
 	// target may be up to this many dB weaker than the serving cell but no
 	// more. The paper notes radio evaluation is "a necessary but not a
@@ -43,17 +35,23 @@ type Decider struct {
 	// (§2.2 citing [22]); without this guard, AT&T's ΘA5,S = −44 setting
 	// would hand off to arbitrarily weak cells in loops. The margin still
 	// lets ~half of A5 handoffs land on weaker cells (Fig. 6).
-	SanityMargin units.Db
+	SanityMargin units.Db = 6
+)
+
+// Decider is the network (serving eNodeB) side of the active-state
+// handoff decision (Fig. 1 step 4). The paper finds the decision is
+// "determined by the last reporting event": an A3/A4/A5 report hands off
+// to the best reported neighbor; a periodic report hands off when a
+// neighbor beats the serving cell by PeriodicMargin; an A2 report can
+// trigger a blind redirection to the best neighbor it carries; A1 never
+// causes a handoff.
+type Decider struct {
+	serving *config.CellConfig
 }
 
 // NewDecider builds the decision logic for a serving cell.
 func NewDecider(serving *config.CellConfig) *Decider {
-	return &Decider{
-		serving:        serving,
-		PeriodicMargin: units.Db(2),
-		A2Emergency:    units.Dbm(-126),
-		SanityMargin:   units.Db(6),
-	}
+	return &Decider{serving: serving}
 }
 
 // forbidden reports whether a target cell is barred by SIB4.
@@ -93,7 +91,7 @@ func (d *Decider) OnReport(rep Report) Decision {
 			if d.forbidden(n.Cell) {
 				continue
 			}
-			if n.value(rep.Quantity) > rep.Serving.value(rep.Quantity).SubDb(d.SanityMargin) {
+			if n.value(rep.Quantity) > rep.Serving.value(rep.Quantity).SubDb(SanityMargin) {
 				eligible = append(eligible, n)
 			}
 		}
@@ -106,7 +104,7 @@ func (d *Decider) OnReport(rep Report) Decision {
 			if d.forbidden(n.Cell) {
 				continue
 			}
-			if n.value(rep.Quantity) > rep.Serving.value(rep.Quantity).Add(d.PeriodicMargin) {
+			if n.value(rep.Quantity) > rep.Serving.value(rep.Quantity).Add(PeriodicMargin) {
 				target = n
 				break
 			}
@@ -114,7 +112,7 @@ func (d *Decider) OnReport(rep Report) Decision {
 	case config.EventA2:
 		// Emergency redirection: only once the serving link is truly dying
 		// and the report carries a clearly better neighbor.
-		if rep.Serving.RSRP >= d.A2Emergency {
+		if rep.Serving.RSRP >= A2Emergency {
 			break
 		}
 		for i := range rep.Neighbors {

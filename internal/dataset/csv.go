@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -88,72 +87,4 @@ func WriteD2CSV(w io.Writer, snaps []D2Snapshot) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadD1CSV parses the flat D1 CSV back into records.
-func ReadD1CSV(r io.Reader) ([]D1Record, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	if len(rows[0]) != len(d1Header) {
-		return nil, fmt.Errorf("dataset: D1 CSV has %d columns, want %d", len(rows[0]), len(d1Header))
-	}
-	out := make([]D1Record, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		rec, err := parseD1Row(row)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: D1 CSV row %d: %w", i+2, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-func parseD1Row(row []string) (D1Record, error) {
-	var r D1Record
-	var err error
-	pf := func(s string) float64 {
-		if err != nil {
-			return 0
-		}
-		var v float64
-		v, err = strconv.ParseFloat(s, 64)
-		return v
-	}
-	pi := func(s string) int {
-		if err != nil {
-			return 0
-		}
-		var v int
-		v, err = strconv.Atoi(s)
-		return v
-	}
-	pu := func(s string) uint32 { return uint32(pi(s)) }
-	p64 := func(s string) int64 {
-		if err != nil {
-			return 0
-		}
-		var v int64
-		v, err = strconv.ParseInt(s, 10, 64)
-		return v
-	}
-	r.Carrier, r.City, r.Kind, r.Event = row[0], row[1], row[2], row[3]
-	r.TimeMs, r.ReportTimeMs = p64(row[4]), p64(row[5])
-	r.FromCellID, r.ToCellID = pu(row[6]), pu(row[7])
-	r.FromEARFCN, r.ToEARFCN = pu(row[8]), pu(row[9])
-	r.FromRAT, r.ToRAT = row[10], row[11]
-	r.FromPriority, r.ToPriority = pi(row[12]), pi(row[13])
-	r.RSRPOld, r.RSRPNew = pf(row[14]), pf(row[15])
-	r.RSRQOld, r.RSRQNew = pf(row[16]), pf(row[17])
-	r.Quantity = row[18]
-	r.Offset, r.Hysteresis = pf(row[19]), pf(row[20])
-	r.Threshold1, r.Threshold2 = pf(row[21]), pf(row[22])
-	r.TTTMs = pi(row[23])
-	r.MinThptBefore = pf(row[24])
-	return r, err
 }

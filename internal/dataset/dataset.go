@@ -252,17 +252,6 @@ func (d *D2) Carriers() []string {
 	return out
 }
 
-// Filter returns the snapshots matching pred, preserving order.
-func (d *D2) Filter(pred func(*D2Snapshot) bool) []*D2Snapshot {
-	var out []*D2Snapshot
-	for i := range d.Snapshots {
-		if pred(&d.Snapshots[i]) {
-			out = append(out, &d.Snapshots[i])
-		}
-	}
-	return out
-}
-
 // ParamValues gathers a parameter's values for one carrier with the
 // paper's cleaning rule: "we consider unique samples, so as not to tip
 // distributions in favor of cells with many same samples" (§5.1) — each

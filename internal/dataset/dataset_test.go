@@ -105,9 +105,6 @@ func TestD2RoundTripAndCounts(t *testing.T) {
 	if cs := d.Carriers(); len(cs) != 2 || cs[0] != "A" || cs[1] != "T" {
 		t.Errorf("Carriers = %v", cs)
 	}
-	if got := d.Filter(func(s *D2Snapshot) bool { return s.Carrier == "T" }); len(got) != 1 {
-		t.Errorf("Filter = %d", len(got))
-	}
 }
 
 func TestD2SnapshotSampleCount(t *testing.T) {

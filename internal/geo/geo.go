@@ -36,9 +36,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by f.
 func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
 
-// Norm returns the distance from the origin.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Lerp linearly interpolates between p and q; t=0 yields p, t=1 yields q.
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
@@ -78,14 +75,6 @@ func (r Rect) Center() Point {
 // Contains reports whether p lies inside or on the boundary of r.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Clamp returns p moved to the nearest point inside r.
-func (r Rect) Clamp(p Point) Point {
-	return Point{
-		X: math.Max(r.Min.X, math.Min(r.Max.X, p.X)),
-		Y: math.Max(r.Min.Y, math.Min(r.Max.Y, p.Y)),
-	}
 }
 
 // Expand grows the rectangle by m meters on every side.

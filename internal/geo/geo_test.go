@@ -57,9 +57,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != Pt(2, 4) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := q.Norm(); got != 5 {
-		t.Errorf("Norm = %v", got)
-	}
 }
 
 func TestLerp(t *testing.T) {
@@ -96,25 +93,6 @@ func TestRectContainsClamp(t *testing.T) {
 	if r.Contains(Pt(-0.1, 5)) || r.Contains(Pt(5, 10.1)) {
 		t.Error("Contains should exclude exterior")
 	}
-	if got := r.Clamp(Pt(-3, 15)); got != Pt(0, 10) {
-		t.Errorf("Clamp = %v", got)
-	}
-	if got := r.Clamp(Pt(5, 5)); got != Pt(5, 5) {
-		t.Errorf("Clamp interior moved: %v", got)
-	}
-}
-
-func TestClampAlwaysInside(t *testing.T) {
-	r := NewRect(Pt(-100, -50), Pt(200, 75))
-	f := func(x, y float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) {
-			return true
-		}
-		return r.Contains(r.Clamp(Pt(x, y)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestExpand(t *testing.T) {
@@ -135,8 +113,11 @@ func TestHexLatticeCoverage(t *testing.T) {
 	// (hex lattice guarantees coverage radius = isd/sqrt(3) ≈ 0.577*isd).
 	for x := 0.0; x <= 5000; x += 333 {
 		for y := 0.0; y <= 5000; y += 333 {
-			i := NearestIndex(Pt(x, y), sites)
-			if d := Pt(x, y).Dist(sites[i]); d > isd {
+			d := math.Inf(1)
+			for _, s := range sites {
+				d = math.Min(d, Pt(x, y).Dist(s))
+			}
+			if d > isd {
 				t.Fatalf("point (%v,%v) is %.0fm from nearest site, want <= %v", x, y, d, isd)
 			}
 		}
@@ -186,16 +167,6 @@ func TestHexLatticeInvalidISD(t *testing.T) {
 	}
 	if got := HexLattice(NewRect(Pt(0, 0), Pt(100, 100)), -5, Pt(0, 0)); got != nil {
 		t.Errorf("negative ISD should yield nil, got %d sites", len(got))
-	}
-}
-
-func TestNearestIndex(t *testing.T) {
-	sites := []Point{Pt(0, 0), Pt(100, 0), Pt(0, 100)}
-	if got := NearestIndex(Pt(90, 10), sites); got != 1 {
-		t.Errorf("NearestIndex = %d, want 1", got)
-	}
-	if got := NearestIndex(Pt(0, 0), nil); got != -1 {
-		t.Errorf("NearestIndex(empty) = %d, want -1", got)
 	}
 }
 

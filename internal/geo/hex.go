@@ -43,18 +43,6 @@ func mod(a, b float64) float64 {
 	return m
 }
 
-// NearestIndex returns the index in sites of the point nearest to p, or -1
-// if sites is empty.
-func NearestIndex(p Point, sites []Point) int {
-	best, bestD := -1, math.Inf(1)
-	for i, s := range sites {
-		if d := p.Dist(s); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
 // WithinRadius returns the indices of sites within radius meters of center.
 // It is the clustering primitive behind the spatial-diversity measure
 // ζ_{M,θ|R} (paper Eq. 5 applied per neighborhood, Fig. 21).

@@ -14,6 +14,7 @@ import (
 	"io"
 
 	"mmlab/internal/config"
+	"mmlab/internal/core"
 	"mmlab/internal/radio"
 	"mmlab/internal/sib"
 	"mmlab/internal/units"
@@ -26,28 +27,16 @@ type Prediction struct {
 	TargetPCI uint16
 }
 
-// Policy mirrors the network-side decision constants the predictor
-// assumes (the same defaults as core.NewDecider; a real deployment would
-// fit them from observed handoffs).
-type Policy struct {
-	PeriodicMargin units.Db
-	A2Emergency    units.Dbm
-	SanityMargin   units.Db
-}
-
-// DefaultPolicy returns the deployed decision constants.
-func DefaultPolicy() Policy {
-	return Policy{PeriodicMargin: units.Db(2), A2Emergency: units.Dbm(-126), SanityMargin: units.Db(6)}
-}
-
-// Predictor replays a device's signaling and forecasts handoffs.
+// Predictor replays a device's signaling and forecasts handoffs. It
+// assumes the network's decision margins (core.PeriodicMargin,
+// A2Emergency and SanityMargin); a real deployment would fit them from
+// observed handoffs.
 type Predictor struct {
-	Policy Policy
-	meas   config.MeasConfig
+	meas config.MeasConfig
 }
 
-// New builds a predictor with the default policy.
-func New() *Predictor { return &Predictor{Policy: DefaultPolicy()} }
+// New builds a predictor.
+func New() *Predictor { return &Predictor{} }
 
 // Observe feeds one decoded signaling message. It returns a prediction
 // (and true) when the message is a measurement report; configuration
@@ -82,11 +71,11 @@ func (p *Predictor) predict(ts uint64, rep *sib.MeasurementReport) Prediction {
 			sv = units.LevelFromDb(radio.DequantizeRSRQ(rep.Serving.RSRQIdx))
 			bv = units.LevelFromDb(radio.DequantizeRSRQ(best.RSRQIdx))
 		}
-		out.Handoff = bv > sv.SubDb(p.Policy.SanityMargin)
+		out.Handoff = bv > sv.SubDb(core.SanityMargin)
 	case config.EventPeriodic:
-		out.Handoff = bestRSRP > servRSRP.Add(p.Policy.PeriodicMargin)
+		out.Handoff = bestRSRP > servRSRP.Add(core.PeriodicMargin)
 	case config.EventA2:
-		out.Handoff = servRSRP < p.Policy.A2Emergency && bestRSRP > servRSRP+3
+		out.Handoff = servRSRP < core.A2Emergency && bestRSRP > servRSRP+3
 	}
 	if out.Handoff {
 		out.TargetPCI = best.PCI

@@ -128,19 +128,6 @@ func Open(data []byte) (MsgType, []byte, error) {
 // stream readers to frame messages.
 func EnvelopeSize(payloadLen int) int { return headerLen + payloadLen + trailerLen }
 
-// PeekLength inspects a partial buffer holding at least the header and
-// returns the full envelope size, or an error if the header is invalid.
-func PeekLength(data []byte) (int, error) {
-	if len(data) < headerLen {
-		return 0, ErrShortMessage
-	}
-	if binary.LittleEndian.Uint16(data) != magic {
-		return 0, ErrBadMagic
-	}
-	n := binary.LittleEndian.Uint32(data[4:])
-	return EnvelopeSize(int(n)), nil
-}
-
 // --- TLV primitives ---
 
 // Writer accumulates TLV fields into a payload.

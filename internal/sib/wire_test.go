@@ -75,25 +75,6 @@ func TestSealOpenProperty(t *testing.T) {
 	}
 }
 
-func TestPeekLength(t *testing.T) {
-	data := Seal(MsgSIB3, make([]byte, 37))
-	n, err := PeekLength(data[:headerLen])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(data) {
-		t.Errorf("PeekLength = %d, want %d", n, len(data))
-	}
-	if _, err := PeekLength(data[:3]); !errors.Is(err, ErrShortMessage) {
-		t.Errorf("short peek: %v", err)
-	}
-	bad := append([]byte(nil), data[:headerLen]...)
-	bad[0] = 0
-	if _, err := PeekLength(bad); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("bad magic peek: %v", err)
-	}
-}
-
 func TestTLVRoundTrip(t *testing.T) {
 	var w Writer
 	w.PutUint(1, 42)

@@ -82,15 +82,6 @@ func (d Dbm) Sub(o Dbm) Db { return Db(d - o) }
 // point for the RSRQ leg.
 func LevelFromDb(d Db) Dbm { return Dbm(d) }
 
-// LevelToDb is the inverse of LevelFromDb: reads an RSRQ quantity back
-// off the level axis.
-func LevelToDb(d Dbm) Db { return Db(d) }
-
-// Ticks converts a duration to scheduler ticks of stepMs each,
-// truncating like integer division. A step of 0 panics (as bare
-// division would).
-func (m Millis) Ticks(stepMs int64) int64 { return int64(m) / stepMs }
-
 // Hz converts an exact MHz quantity to Hz. Lossy for carriers whose MHz
 // value is not exactly representable times 1e6 — keep carrier storage
 // in MegaHz and convert only where exactness is known.

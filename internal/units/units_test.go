@@ -55,18 +55,6 @@ func TestCrossUnitHelpers(t *testing.T) {
 	if got, want := units.Dbm(-95).Sub(rsrp), units.Db(-95-(-102.5)); got != want {
 		t.Errorf("Sub = %g, want %g", got.V(), want.V())
 	}
-	if units.LevelToDb(units.LevelFromDb(units.Db(-17.5))) != units.Db(-17.5) {
-		t.Error("LevelFromDb/LevelToDb must round-trip exactly")
-	}
-}
-
-func TestMillisTicks(t *testing.T) {
-	if got := units.Millis(640).Ticks(40); got != 16 {
-		t.Errorf("640ms/40ms = %d ticks, want 16", got)
-	}
-	if got := units.Millis(100).Ticks(40); got != 2 {
-		t.Errorf("Ticks must truncate: got %d, want 2", got)
-	}
 }
 
 func TestMegaHz(t *testing.T) {
