@@ -256,29 +256,39 @@ func BuildCheckpoint(results []*StreamResult) *Checkpoint {
 	return cp
 }
 
-// Encode writes the checkpoint as deterministic indented JSON.
+// Encode writes the checkpoint as deterministic compact JSON: one line,
+// fields in struct order, map keys sorted, ending in a newline. Every
+// checkpoint file is written through it, so equal checkpoints are equal
+// bytes on disk. LoadCheckpoint ignores whitespace, so indented
+// checkpoint files load too.
 func (cp *Checkpoint) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(cp)
+	return json.NewEncoder(w).Encode(cp)
 }
 
-// WriteFile atomically writes the checkpoint into dir as checkpoint.json.
-// The tmp+rename dance means a crash at any instant leaves either the
-// previous checkpoint or this one, never a torn file.
+// WriteFile atomically writes the checkpoint into dir as checkpoint.json,
+// encoding straight into a temp file. The tmp+rename dance means a crash
+// or an encode error at any instant leaves either the previous
+// checkpoint or this one, never a torn file.
 func (cp *Checkpoint) WriteFile(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
-		return err
-	}
 	tmp := filepath.Join(dir, ".checkpoint.json.tmp")
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, "checkpoint.json"))
+	err = cp.Encode(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, "checkpoint.json"))
+	}
+	if err != nil {
+		os.Remove(tmp) // the previous checkpoint.json stays as it was
+	}
+	return err
 }
 
 // LoadCheckpoint reads dir/checkpoint.json. A missing file is not an

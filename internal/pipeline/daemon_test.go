@@ -171,7 +171,7 @@ func TestDaemonIdleTimeoutReconnect(t *testing.T) {
 	d, addr := startDaemon(t, pipeline.Config{IdleTimeout: 100 * time.Millisecond})
 	st, err := feeder.Feed(context.Background(), data, feeder.Options{
 		Addr: addr, Carrier: "A", Stream: "s0", Seed: 2,
-		Faults: feeder.Faults{Stall: 0.02, StallMs: 300},
+		Faults: feeder.Faults{Stall: 0.002, StallMs: 300},
 	})
 	if err != nil {
 		t.Fatal(err)

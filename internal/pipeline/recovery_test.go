@@ -109,8 +109,31 @@ func TestPeriodicCheckpointDurableAck(t *testing.T) {
 // and brings up a second daemon from the file: the restored daemon's
 // resume ack repositions the feeder, the replayed tail runs through a
 // parser primed from the checkpointed cross-record state, and the final
-// drain is byte-identical to a batch parse of the whole capture.
+// drain is byte-identical to a batch parse of the whole capture. The
+// indented case restores the file as older daemons wrote it, one field
+// per line, which a restart must still accept.
 func TestPeriodicCheckpointAndRestore(t *testing.T) {
+	t.Run("compact", func(t *testing.T) {
+		checkpointAndRestore(t, func(mid []byte) []byte { return mid })
+	})
+	t.Run("indented", func(t *testing.T) {
+		checkpointAndRestore(t, func(mid []byte) []byte {
+			var buf bytes.Buffer
+			if err := json.Indent(&buf, mid, "", " "); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(buf.Bytes(), mid) {
+				t.Fatal("setup: re-indenting left the checkpoint unchanged")
+			}
+			return buf.Bytes()
+		})
+	})
+}
+
+// checkpointAndRestore runs the cut, checkpoint and restore cycle,
+// passing the mid-stream checkpoint through rewrite before the second
+// daemon reads it.
+func checkpointAndRestore(t *testing.T, rewrite func(mid []byte) []byte) {
 	data := capture(t, "A", 32)
 	total := countRecords(t, data)
 	half := recordPrefix(t, data, total/2)
@@ -145,7 +168,7 @@ func TestPeriodicCheckpointAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, d1) // d1's drain overwrites the file; put the mid-stream one back
-	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), mid, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), rewrite(mid), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
