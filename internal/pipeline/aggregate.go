@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -201,9 +200,21 @@ func BuildCheckpoint(results []*StreamResult) *Checkpoint {
 	accs := map[string]*carrierAcc{}
 	var order []string
 	for _, r := range results {
-		sc := StreamCheckpoint{Carrier: r.Carrier, Stream: r.Stream}
-		sc.Snapshots = append([]crawler.ConfigSnapshot{}, r.Snapshots...)
-		sc.Events = append([]crawler.HandoffEvent(nil), r.Events...)
+		// The data is shared, not copied: capped, so a later append to
+		// the result reallocates instead of writing into the checkpoint.
+		// Every caller hands over results no one mutates in place: the
+		// drain builds after the aggregate stage has exited, the periodic
+		// path passes the aggregator's capped snapshot, and Reference
+		// owns its results.
+		sc := StreamCheckpoint{
+			Carrier:   r.Carrier,
+			Stream:    r.Stream,
+			Snapshots: r.Snapshots[:len(r.Snapshots):len(r.Snapshots)],
+			Events:    r.Events[:len(r.Events):len(r.Events)],
+		}
+		if sc.Snapshots == nil {
+			sc.Snapshots = []crawler.ConfigSnapshot{} // encodes as [], not null
+		}
 		cp.Streams = append(cp.Streams, sc)
 
 		acc := accs[r.Carrier]
@@ -254,15 +265,6 @@ func BuildCheckpoint(results []*StreamResult) *Checkpoint {
 		cp.Carriers = append(cp.Carriers, acc.agg)
 	}
 	return cp
-}
-
-// Encode writes the checkpoint as deterministic compact JSON: one line,
-// fields in struct order, map keys sorted, ending in a newline. Every
-// checkpoint file is written through it, so equal checkpoints are equal
-// bytes on disk. LoadCheckpoint ignores whitespace, so indented
-// checkpoint files load too.
-func (cp *Checkpoint) Encode(w io.Writer) error {
-	return json.NewEncoder(w).Encode(cp)
 }
 
 // WriteFile atomically writes the checkpoint into dir as checkpoint.json,

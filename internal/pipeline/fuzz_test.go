@@ -107,6 +107,35 @@ func FuzzRestore(f *testing.F) {
 	})
 }
 
+// FuzzCheckpointEncode decodes arbitrary bytes as a checkpoint. Whatever
+// decodes must encode through Checkpoint.Encode to exactly the bytes
+// encoding/json writes for it, or fail where encoding/json fails.
+func FuzzCheckpointEncode(f *testing.F) {
+	f.Add(periodicCheckpoint(f))
+	f.Add([]byte(`{"streams":[{"carrier":"<A&>","stream":"s\u2028","snapshots":[{"TimeMs":7,"Config":{"TxPowerDBm":-0,` +
+		`"Meas":{"Objects":{"10":{"CellOffsets":{"2":5e-7,"10":1e21}},"9":{}},"Reports":{"2":{},"-1":{}}}}}]}],` +
+		`"carriers":[{"catalog":[{"params":{"b":[2.5,-1e-7],"a":null,"\u00e9":[]}}]}]}`))
+	f.Add([]byte(`{"streams":null,"carriers":[]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cp pipeline.Checkpoint
+		if json.Unmarshal(data, &cp) != nil {
+			return
+		}
+		var want, got bytes.Buffer
+		werr := json.NewEncoder(&want).Encode(&cp)
+		gerr := cp.Encode(&got)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("encoding/json error %v, Encode error %v", werr, gerr)
+		}
+		if werr == nil {
+			if d := firstDiff(got.Bytes(), want.Bytes()); d != "" {
+				t.Fatal(d)
+			}
+		}
+	})
+}
+
 // periodicCheckpoint returns a real mid-stream periodic checkpoint: the
 // first records of a capture delivered over a connection that closes
 // without an end frame, so the resume section carries a pending parser
